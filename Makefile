@@ -12,7 +12,7 @@ include tools/versions.mk
 LINT_EXTERNAL ?= auto
 TOOLSBIN := $(CURDIR)/tools/bin
 
-.PHONY: build test bench bench-smoke fmt fmt-check vet race fuzz serve-smoke restart-smoke load-smoke cover profile lint motiflint tools-test lint-external
+.PHONY: build test bench bench-smoke fmt fmt-check vet race fuzz serve-smoke restart-smoke load-smoke cover loc profile lint motiflint tools-test lint-external
 
 build:
 	$(GO) build ./...
@@ -46,6 +46,19 @@ cover:
 			else printf "coverage %.1f%% >= %.1f%% gate\n", pct, min }'
 	@echo "note: the motiflint analyzer suites live in the tools module and run via 'make tools-test' (outside this profile and the COVER_MIN gate)"
 
+# Go line counts per module (the root, tools and servebench modules are
+# separate): non-test lines, and test lines (_test.go files plus analyzer
+# fixtures under testdata/). CI prints them next to coverage so every
+# change's net line count is visible.
+loc:
+	@printf '%-11s %9s %6s\n' module non-test test
+	@for mod in . tools servebench; do \
+		files=$$(cd $$mod && find . \( -path ./tools -o -path ./servebench \) -prune -o -name '*.go' -print); \
+		src=$$(cd $$mod && echo "$$files" | grep -v -e '_test\.go$$' -e '/testdata/' | xargs -r cat | wc -l); \
+		tst=$$(cd $$mod && echo "$$files" | grep -e '_test\.go$$' -e '/testdata/' | xargs -r cat | wc -l); \
+		printf '%-11s %9d %6d\n' $$mod $$src $$tst; \
+	done
+
 # End-to-end serve-mode smoke: build the motifserve binary, start it on a
 # free port, upload a generated trajectory, and assert the second
 # identical /discover request rebuilds zero grids.
@@ -53,7 +66,7 @@ serve-smoke:
 	$(GO) test -run '^TestServeSmokeBinary$$' -count=1 -v ./cmd/motifserve
 
 # End-to-end restart drill: run motifserve with -artifact-dir and
-# -snapshot-on-shutdown (sharded), upload + discover, SIGTERM, restart
+# -snapshot-on-shutdown, upload + discover, SIGTERM, restart
 # against the same directory, and assert the warm process answers the
 # same discover from the disk tier — registry restored, zero grids
 # rebuilt, diskReads > 0 on /stats.

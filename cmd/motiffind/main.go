@@ -7,7 +7,7 @@
 //	motiffind -xi 100 walk.plt
 //	motiffind -xi 100 -algo btm day1.csv day2.csv
 //	motiffind -xi 50 -algo gtmstar -tau 64 -stats big.plt
-//	motiffind -xi 100 -workers 8 big.plt   # shard the search over 8 cores
+//	motiffind -xi 100 -workers 8 big.plt   # split the search over 8 cores
 //	motiffind -xi 100 -algo gtm,btm,brutedp -cache -stats walk.plt
 //	motiffind -xi 20 -corpus /data/geolife  # every trajectory under a dir
 //	motiffind -xi 20 -corpus /data/geolife -pairs -max-dist 500
@@ -28,10 +28,6 @@
 // artifact store, so every algorithm after the first reuses the ground-
 // distance grid and bound tables instead of recomputing them (visible in
 // -stats as "grids reused").
-//
-// -float32 halves ground-distance grid memory by storing grids in
-// float32; results are then float32-exact (deterministic, within one
-// part in 2^24 of the float64 answer) instead of float64-exact.
 //
 // Input files may be GeoLife .plt or CSV ("lat,lng[,unix]").
 package main
@@ -55,7 +51,6 @@ func main() {
 	epsilon := flag.Float64("epsilon", 0, "approximation slack: result within (1+ε) of optimal; 0 is exact")
 	workers := flag.Int("workers", 0, "parallel workers within the search; 0 = GOMAXPROCS (results are identical for any count). With -corpus it bounds concurrent single-worker trajectory searches instead (total concurrency; 1 = serial)")
 	cache := flag.Bool("cache", false, "share one artifact store across this invocation's queries (several -algo entries, or -k rounds), reusing grids instead of rebuilding them")
-	f32 := flag.Bool("float32", false, "store ground-distance grids in float32: half the grid memory, results float32-exact instead of float64-exact")
 	geoOut := flag.String("geojson", "", "write the trajectory with highlighted motif legs to this GeoJSON file")
 	corpus := flag.String("corpus", "", "discover motifs in every trajectory under this directory (streamed; replaces the positional file arguments)")
 	pairs := flag.Bool("pairs", false, "with -corpus: discover cross-trajectory motifs over unordered pairs instead of per-trajectory motifs")
@@ -72,8 +67,8 @@ func main() {
 		// Corpus mode is GTM-per-trajectory only; reject flags it would
 		// otherwise silently ignore rather than let the user believe a
 		// different algorithm or cache configuration ran.
-		if *algo != "gtm" || *topk > 1 || *epsilon != 0 || *cache || *f32 || *geoOut != "" {
-			fmt.Fprintln(os.Stderr, "motiffind: -corpus supports only -xi, -tau, -workers and -stats (not -algo, -k, -epsilon, -cache, -float32, -geojson)")
+		if *algo != "gtm" || *topk > 1 || *epsilon != 0 || *cache || *geoOut != "" {
+			fmt.Fprintln(os.Stderr, "motiffind: -corpus supports only -xi, -tau, -workers and -stats (not -algo, -k, -epsilon, -cache, -geojson)")
 			os.Exit(2)
 		}
 		if *pairs {
@@ -105,7 +100,7 @@ func main() {
 		fatal(err)
 	}
 
-	opt := &trajmotif.Options{Epsilon: *epsilon, Workers: *workers, Float32Grids: *f32}
+	opt := &trajmotif.Options{Epsilon: *epsilon, Workers: *workers}
 	if *cache {
 		opt.Artifacts = trajmotif.NewStore(nil)
 	}

@@ -8,7 +8,7 @@
 //	motifserve -addr :8080
 //	motifserve -addr 127.0.0.1:0 -cache-bytes 1073741824 -workers 4
 //	motifserve -max-trajectories 10000 -traj-ttl 1h -max-concurrent 8
-//	motifserve -artifact-dir /var/lib/motifserve -snapshot-on-shutdown -shards 4
+//	motifserve -artifact-dir /var/lib/motifserve -snapshot-on-shutdown
 //
 // Endpoints (all JSON; see the README's "Serve mode" section):
 //
@@ -51,7 +51,6 @@ func main() {
 	queueWait := flag.Duration("queue-wait", 0, "longest a queued search waits before 429; 0 = 5s default, negative rejects immediately when no slot is free")
 	artifactDir := flag.String("artifact-dir", "", "directory for the persistent artifact tier; evicted grids spill to disk and warm restarts promote them back (empty disables)")
 	snapshotOnShutdown := flag.Bool("snapshot-on-shutdown", false, "write the trajectory registry to <artifact-dir>/registry.snap on graceful shutdown and restore it at boot (requires -artifact-dir)")
-	shards := flag.Int("shards", 1, "in-process store shards; trajectories hash-partition across them and results stay byte-identical to 1 shard")
 	readHeaderTimeout := flag.Duration("read-header-timeout", 10*time.Second, "http.Server ReadHeaderTimeout")
 	readTimeout := flag.Duration("read-timeout", 2*time.Minute, "http.Server ReadTimeout (covers large bulk uploads)")
 	writeTimeout := flag.Duration("write-timeout", 5*time.Minute, "http.Server WriteTimeout (covers cold full-corpus joins)")
@@ -80,33 +79,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, "motifserve: -snapshot-on-shutdown requires -artifact-dir")
 		os.Exit(1)
 	}
-	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "motifserve: -shards must be >= 1, got %d\n", *shards)
-		os.Exit(1)
-	}
 
-	stOpt := &trajmotif.StoreOptions{
+	st := trajmotif.NewStore(&trajmotif.StoreOptions{
 		CacheBytes:      *cacheBytes,
 		MaxTrajectories: *maxTraj,
 		TrajectoryTTL:   *trajTTL,
 		ArtifactDir:     *artifactDir,
-	}
-	var backend trajmotif.ServeBackend
-	if *shards > 1 {
-		sh, err := trajmotif.NewShardedStore(*shards, stOpt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "motifserve: %v\n", err)
-			os.Exit(1)
-		}
-		backend = sh
-	} else {
-		backend = trajmotif.NewStore(stOpt)
-	}
+	})
 
 	snapPath := ""
 	if *artifactDir != "" {
 		snapPath = filepath.Join(*artifactDir, "registry.snap")
-		if n, err := backend.(snapshotter).Restore(snapPath); err != nil {
+		if n, err := st.Restore(snapPath); err != nil {
 			fmt.Fprintf(os.Stderr, "motifserve: restore %s: %v\n", snapPath, err)
 			os.Exit(1)
 		} else if n > 0 {
@@ -114,7 +98,7 @@ func main() {
 		}
 	}
 
-	srv := trajmotif.NewServerWith(backend, &trajmotif.ServerOptions{
+	srv := trajmotif.NewServer(st, &trajmotif.ServerOptions{
 		Workers:               *workers,
 		MaxBodyBytes:          *maxBody,
 		MaxConcurrentSearches: *maxConc,
@@ -159,7 +143,7 @@ func main() {
 			os.Exit(1)
 		}
 		if *snapshotOnShutdown {
-			if n, err := backend.(snapshotter).Snapshot(snapPath); err != nil {
+			if n, err := st.Snapshot(snapPath); err != nil {
 				fmt.Fprintf(os.Stderr, "motifserve: snapshot %s: %v\n", snapPath, err)
 				os.Exit(1)
 			} else {
@@ -168,12 +152,4 @@ func main() {
 		}
 		fmt.Println("motifserve stopped")
 	}
-}
-
-// snapshotter is the registry persistence surface shared by *Store and
-// *ShardedStore (both always implement it; the assertion documents the
-// dependency rather than guarding a real failure path).
-type snapshotter interface {
-	Snapshot(path string) (int, error)
-	Restore(path string) (int, error)
 }

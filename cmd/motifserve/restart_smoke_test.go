@@ -131,8 +131,7 @@ func (p *restartProc) get(t *testing.T, path string, out any) {
 // the same directory, and prove the warm process answers the same
 // discover byte-for-byte from disk — registry restored without
 // re-upload, zero grids rebuilt, every artifact promoted from the disk
-// tier. Runs with -shards 2 so the drill covers the sharded coordinator
-// path too.
+// tier.
 func TestRestartSmokeBinary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs a binary; skipped in -short")
@@ -147,7 +146,7 @@ func TestRestartSmokeBinary(t *testing.T) {
 	artDir := filepath.Join(t.TempDir(), "artifacts")
 	args := []string{
 		"-addr", "127.0.0.1:0", "-workers", "1",
-		"-artifact-dir", artDir, "-snapshot-on-shutdown", "-shards", "2",
+		"-artifact-dir", artDir, "-snapshot-on-shutdown",
 	}
 
 	type motif struct {
@@ -168,7 +167,6 @@ func TestRestartSmokeBinary(t *testing.T) {
 		DiskWrites   int64 `json:"diskWrites"`
 		DiskReads    int64 `json:"diskReads"`
 		DiskErrors   int64 `json:"diskErrors"`
-		Shards       int   `json:"shards"`
 	}
 
 	// Cold run: upload, discover, shut down with a snapshot.
@@ -193,9 +191,6 @@ func TestRestartSmokeBinary(t *testing.T) {
 	p1.get(t, "/stats", &coldStats)
 	if coldStats.DiskWrites == 0 {
 		t.Fatalf("cold run spilled nothing to disk: %+v", coldStats)
-	}
-	if coldStats.Shards != 2 {
-		t.Fatalf("shards = %d, want 2", coldStats.Shards)
 	}
 	out := p1.stop(t)
 	if !strings.Contains(out, "motifserve snapshotted 1 trajectories") {

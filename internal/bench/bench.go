@@ -61,10 +61,6 @@ type Config struct {
 	// DefaultCorpusXi).
 	CorpusDir string
 	CorpusXi  int
-	// Float32Grids threads core.Options.Float32Grids into every
-	// algorithm invocation: float32 grid storage, float32-exact rather
-	// than float64-exact results.
-	Float32Grids bool
 	// Projected routes the JSON workload's join through the projected
 	// decision kernel (byte-identical, verified in-run against the
 	// haversine oracle). DefaultConfig enables it.
@@ -80,7 +76,6 @@ func (c Config) opts(o *core.Options) *core.Options {
 	}
 	o.Workers = c.Workers
 	o.Artifacts = c.Artifacts
-	o.Float32Grids = c.Float32Grids
 	return o
 }
 

@@ -28,9 +28,9 @@ import (
 
 // JSONSchema versions the report layout; bump it when fields change
 // meaning so the baseline diff fails loudly instead of silently.
-// Schema 2 adds the projected-join fallback counter and the kernel
-// variant section.
-const JSONSchema = 2
+// Schema 2 adds the projected-join fallback counter; schema 3 drops the
+// kernel variant section (its float64 row repeated the geolife BTM run).
+const JSONSchema = 3
 
 // JSONConfig pins everything the workload depends on, so a later PR can
 // regenerate the identical run from the checked-in file alone.
@@ -88,17 +88,6 @@ type JSONJoinRun struct {
 	WallMS              float64 `json:"wall_ms"`
 }
 
-// JSONKernelRun compares the grid storage variants on one BTM discovery:
-// float64 (the byte-parity reference) and float32 (half the grid memory,
-// gated by the equivalence suite — its distance may differ in the last
-// bits but is deterministic, so it diffs exactly).
-type JSONKernelRun struct {
-	Variant  string  `json:"variant"`
-	Distance float64 `json:"distance"`
-	DPCells  int64   `json:"dpCells"`
-	WallMS   float64 `json:"wall_ms"`
-}
-
 // JSONStreamRun is the prefiltered all-pairs streaming discovery.
 type JSONStreamRun struct {
 	Consulted int64   `json:"consulted"`
@@ -117,13 +106,12 @@ type JSONReuseRun struct {
 
 // JSONReport is the whole emission.
 type JSONReport struct {
-	Config JSONConfig      `json:"config"`
-	Motif  []JSONMotifRun  `json:"motif"`
-	KNN    JSONKNNRun      `json:"knn"`
-	Join   JSONJoinRun     `json:"join"`
-	Kernel []JSONKernelRun `json:"kernel"`
-	Stream JSONStreamRun   `json:"stream"`
-	Reuse  JSONReuseRun    `json:"reuse"`
+	Config JSONConfig     `json:"config"`
+	Motif  []JSONMotifRun `json:"motif"`
+	KNN    JSONKNNRun     `json:"knn"`
+	Join   JSONJoinRun    `json:"join"`
+	Stream JSONStreamRun  `json:"stream"`
+	Reuse  JSONReuseRun   `json:"reuse"`
 }
 
 // jsonConfig fixes the workload. Only Seed is taken from the caller's
@@ -254,28 +242,6 @@ func BuildJSONReport(cfg Config) (*JSONReport, error) {
 		IndexPruned:         jst.IndexPruned,
 		ProjectionFallbacks: fallbacks,
 		WallMS:              ms(wall),
-	}
-
-	// Kernel variants: one BTM discovery per grid storage mode.
-	kt, err := datagen.Dataset(datagen.GeoLifeName, datagen.Config{Seed: jc.Seed, N: jc.MotifN})
-	if err != nil {
-		return nil, err
-	}
-	for _, variant := range []struct {
-		name string
-		f32  bool
-	}{{"float64", false}, {"float32", true}} {
-		start = time.Now()
-		kr, err := core.BTM(kt, jc.MotifXi, &core.Options{Workers: 1, Float32Grids: variant.f32})
-		if err != nil {
-			return nil, fmt.Errorf("bench json: BTM %s: %w", variant.name, err)
-		}
-		rep.Kernel = append(rep.Kernel, JSONKernelRun{
-			Variant:  variant.name,
-			Distance: kr.Distance,
-			DPCells:  kr.Stats.DPCells,
-			WallMS:   ms(time.Since(start)),
-		})
 	}
 
 	// Prefiltered streaming all-pairs discovery.

@@ -108,15 +108,6 @@ type Options struct {
 	// computation. Ignored by GTM* (its on-the-fly grid is never
 	// materialized, so there is nothing to reuse).
 	Artifacts ArtifactSource
-	// Float32Grids stores the ground-distance grid in float32: values
-	// are computed in float64 and rounded once, halving grid memory and
-	// cache traffic. Results are exact with respect to the rounded grid
-	// (the bound tables derive from the same grid, so the search stays
-	// internally consistent), which means distances can differ from the
-	// float64 run by ≤ 2⁻²⁴ relative — this mode is gated by the
-	// float32 equivalence suite, not the byte-parity suites. Ignored by
-	// GTM*.
-	Float32Grids bool
 }
 
 // ArtifactRequest describes the precomputed inputs of one search
@@ -130,11 +121,6 @@ type ArtifactRequest struct {
 	WithBounds bool
 	Dist       geo.DistanceFunc
 	Workers    int
-	// Float32 requests float32 grid storage (see Options.Float32Grids).
-	// Sources must key float32 artifacts separately from float64 ones:
-	// serving one to a request for the other would silently change
-	// results between cached and uncached runs.
-	Float32 bool
 }
 
 // ArtifactSource supplies search artifacts, possibly memoized across
@@ -158,10 +144,6 @@ func (computeArtifacts) Artifacts(req ArtifactRequest) (*dmatrix.Matrix, *bounds
 		g = dmatrix.ComputeSelfParallel(req.A, req.Dist, req.Workers)
 	} else {
 		g = dmatrix.ComputeCrossParallel(req.A, req.B, req.Dist, req.Workers)
-	}
-	if req.Float32 {
-		// Round before deriving bounds so bound tables and grid agree.
-		g = g.Compact32()
 	}
 	var rb *bounds.Relaxed
 	if req.WithBounds {
@@ -506,7 +488,6 @@ func bruteDP(a, b []geo.Point, xi int, self bool, opt *Options) (*Result, error)
 	start := time.Now()
 	g, _, reused := opt.artifacts().Artifacts(ArtifactRequest{
 		A: a, B: b, Self: self, Dist: opt.dist(), Workers: workers,
-		Float32: opt != nil && opt.Float32Grids,
 	})
 	s := NewSearcher(g, xi, self, nil, false)
 	s.SetWorkers(workers)
@@ -563,7 +544,6 @@ func btm(a, b []geo.Point, xi int, self bool, opt *Options) (*Result, error) {
 	// end-cross cap, whose relaxed form is what Alg. 2 uses at line 12.
 	g, rb, reused := opt.artifacts().Artifacts(ArtifactRequest{
 		A: a, B: b, Self: self, Xi: xi, WithBounds: true, Dist: opt.dist(), Workers: workers,
-		Float32: opt != nil && opt.Float32Grids,
 	})
 	var tb *bounds.Tight
 	if opt.Bounds == BoundsTight {

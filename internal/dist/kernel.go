@@ -170,11 +170,6 @@ func relaxRow[G Grid](g G, ie, j0, j1 int, prev, cur []float64) float64 {
 func windowCapped[G Grid](g G, i0, i1, j0, j1 int, cap float64) (d float64, exceeded bool) {
 	w := j1 - j0 + 1
 	capped := !math.IsInf(cap, 1)
-	if !capped && w >= tileThreshold && i1 > i0 {
-		// Only the uncapped sweep tiles: tiling the capped sweep would
-		// move its abandon points and change effort counters.
-		return windowTiled(g, i0, i1, j0, j1), false
-	}
 	prev := make([]float64, w)
 	cur := make([]float64, w)
 
@@ -197,108 +192,6 @@ func windowCapped[G Grid](g G, i0, i1, j0, j1 int, cap float64) (d float64, exce
 		prev, cur = cur, prev
 	}
 	return prev[w-1], false
-}
-
-const (
-	// tileW is the column-strip width of the uncapped tiled sweep: wide
-	// enough to amortize the per-strip row bookkeeping, narrow enough
-	// that a strip's rolling rows, points, and cached cosines stay in
-	// L1 while the sweep walks thousands of rows over them.
-	tileW = 256
-	// tileThreshold gates tiling to windows wide enough that the
-	// rolling rows no longer fit cache; below it the plain sweep's
-	// simpler inner loop wins.
-	tileThreshold = 4 * tileW
-)
-
-// windowTiled computes the exact (uncapped) window DFD in column strips
-// of tileW. The recurrence per cell is the one windowCapped applies —
-// max/min selection over the same three neighbours and the same grid
-// value, with no other floating-point arithmetic — so only the
-// traversal order changes and the result is bit-identical. edge carries
-// the column of values just left of the current strip (dF[·][js-1]),
-// which is all a strip needs from its predecessor.
-func windowTiled[G Grid](g G, i0, i1, j0, j1 int) float64 {
-	rows := i1 - i0 + 1
-	edge := make([]float64, rows)
-	prev := make([]float64, tileW)
-	cur := make([]float64, tileW)
-
-	var last float64
-	colMax := math.Inf(-1) // running max of column j0; first strip only
-	for js := j0; js <= j1; js += tileW {
-		je := js + tileW - 1
-		if je > j1 {
-			je = j1
-		}
-		w := je - js + 1
-		first := js == j0
-
-		// Row i0 of this strip: the boundary running maximum, continued
-		// from the previous strip's edge.
-		run := math.Inf(-1)
-		if !first {
-			run = edge[0]
-		}
-		for jj := js; jj <= je; jj++ {
-			if d := g.At(i0, jj); d > run {
-				run = d
-			}
-			prev[jj-js] = run
-		}
-		if first {
-			colMax = prev[0]
-		}
-		diag := edge[0] // dF[i0][js-1], read before overwrite
-		edge[0] = prev[w-1]
-
-		for r := 1; r < rows; r++ {
-			ie := i0 + r
-			var left float64
-			if first {
-				if v := g.At(ie, j0); v > colMax {
-					colMax = v
-				}
-				cur[0] = colMax
-				left = colMax
-			} else {
-				reach := prev[0] // up
-				if diag < reach {
-					reach = diag
-				}
-				if e := edge[r]; e < reach { // left, from the previous strip
-					reach = e
-				}
-				v := g.At(ie, js)
-				if reach > v {
-					v = reach
-				}
-				cur[0] = v
-				left = v
-			}
-			for jj := js + 1; jj <= je; jj++ {
-				k := jj - js
-				reach := prev[k]
-				if v := prev[k-1]; v < reach {
-					reach = v
-				}
-				if left < reach {
-					reach = left
-				}
-				v := g.At(ie, jj)
-				if reach > v {
-					v = reach
-				}
-				cur[k] = v
-				left = v
-			}
-			diag = edge[r]
-			edge[r] = cur[w-1]
-			prev, cur = cur, prev
-		}
-		last = prev[w-1]
-	}
-	return last
 }
 
 // decision answers dF[n-1][m-1] <= eps over a boolean live-cell DP: a cell

@@ -1,10 +1,9 @@
 package dist
 
 // White-box parity tests and benchmarks for the kernel fast paths:
-// the prepared (hoisted-cos) haversine grid, the tiled uncapped sweep,
-// and the projected decision DP. These live in package dist so the
-// benchmark can pin individual variants (windowCapped vs windowTiled,
-// pointGrid vs preparedGrid) against each other directly.
+// the prepared (hoisted-cos) haversine grid and the projected decision
+// DP. These live in package dist so the benchmark can pin individual
+// variants (pointGrid vs preparedGrid) against each other directly.
 
 import (
 	"math"
@@ -62,40 +61,6 @@ func TestPreparedKernelBitIdentical(t *testing.T) {
 			eps := wantD * epsFrac
 			if DFDDecision(a, b, wrappedHaversine, eps) != DFDDecision(a, b, geo.Haversine, eps) {
 				t.Fatalf("trial %d eps %v: decision differs between prepared and generic", trial, eps)
-			}
-		}
-	}
-}
-
-// TestTiledSweepBitIdentical pins the tiled uncapped sweep against the
-// plain rolling sweep on windows wide enough to tile, including widths
-// that are not multiples of the strip, both grid orientations, and a
-// non-haversine metric.
-func TestTiledSweepBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	widths := []int{tileThreshold, tileThreshold + 1, tileThreshold + tileW - 1, tileThreshold + tileW/3}
-	for _, w := range widths {
-		for _, rows := range []int{2, 3, 17} {
-			a := speedTrack(rng, geo.Point{Lat: 40, Lng: 116}, rows, 0.02)
-			b := speedTrack(rng, geo.Point{Lat: 40.01, Lng: 116.01}, w, 0.02)
-			for _, df := range []geo.DistanceFunc{geo.Haversine, geo.Euclidean} {
-				g := pointGrid{a, b, df}
-				// A huge finite cap keeps windowCapped on the untiled
-				// path and never abandons: an exact reference.
-				want, ex := windowCapped(g, 0, rows-1, 0, w-1, math.MaxFloat64)
-				if ex {
-					t.Fatal("reference sweep abandoned")
-				}
-				got := windowTiled(g, 0, rows-1, 0, w-1)
-				if math.Float64bits(want) != math.Float64bits(got) {
-					t.Fatalf("w=%d rows=%d: tiled %v != plain %v", w, rows, got, want)
-				}
-				// And via the public entry point (auto-routed to tiled;
-				// b is the longer side, so it becomes the row axis).
-				pubD, pubEx := DFDCapped(a, b, df, math.Inf(1))
-				if math.Float64bits(pubD) != math.Float64bits(want) || pubEx {
-					t.Fatalf("w=%d rows=%d: DFDCapped +Inf = (%v, %v), want (%v, false)", w, rows, pubD, pubEx, want)
-				}
 			}
 		}
 	}
@@ -237,9 +202,8 @@ func FuzzProjectedDecision(f *testing.F) {
 // BenchmarkKernelVariants measures per-DP-cell cost of each ground-
 // distance strategy on a fixed workload; CHANGES.md quotes the result.
 // "generic" is the pre-optimization path (haversine behind an opaque
-// DistanceFunc), "prepared" hoists the cosines, "tiled" adds the
-// strip sweep on a wide uncapped window, and the decision pair compares
-// the haversine decision DP against the projected tri-state DP.
+// DistanceFunc), "prepared" hoists the cosines, and the decision pair
+// compares the haversine decision DP against the projected tri-state DP.
 func BenchmarkKernelVariants(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 512
@@ -258,23 +222,6 @@ func BenchmarkKernelVariants(b *testing.B) {
 			windowCapped(newPreparedGrid(ta, tb), 0, n-1, 0, n-1, math.MaxFloat64)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/cells, "ns/cell")
-	})
-
-	const wide = 4096
-	wa := speedTrack(rng, geo.Point{Lat: 40, Lng: 116}, 64, 0.01)
-	wb := speedTrack(rng, geo.Point{Lat: 40.01, Lng: 116.01}, wide, 0.01)
-	wideCells := float64(64) * float64(wide)
-	b.Run("wide-prepared-plain", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			windowCapped(newPreparedGrid(wa, wb), 0, 63, 0, wide-1, math.MaxFloat64)
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/wideCells, "ns/cell")
-	})
-	b.Run("wide-prepared-tiled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			windowTiled(newPreparedGrid(wa, wb), 0, 63, 0, wide-1)
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/wideCells, "ns/cell")
 	})
 
 	d, _ := DFDCapped(ta, tb, geo.Haversine, math.Inf(1))

@@ -20,14 +20,11 @@ type Grid interface {
 	Dims() (n, m int)
 }
 
-// Matrix is a fully materialized n x m ground-distance grid. Values are
-// stored in float64 by default; Compact32 produces an opt-in float32
-// variant that halves memory and cache traffic at ~1e-7 relative
-// rounding (values are still computed in float64 and rounded once).
+// Matrix is a fully materialized n x m ground-distance grid, stored
+// row-major in float64.
 type Matrix struct {
-	n, m   int
-	vals   []float64
-	vals32 []float32
+	n, m int
+	vals []float64
 }
 
 // ComputeCross materializes the grid between two trajectories' points.
@@ -147,44 +144,14 @@ func FromRows(rows [][]float64) *Matrix {
 }
 
 // At returns dG(i, j).
-func (m *Matrix) At(i, j int) float64 {
-	if m.vals32 != nil {
-		return float64(m.vals32[i*m.m+j])
-	}
-	return m.vals[i*m.m+j]
-}
+func (m *Matrix) At(i, j int) float64 { return m.vals[i*m.m+j] }
 
 // Dims returns the grid dimensions.
 func (m *Matrix) Dims() (int, int) { return m.n, m.m }
 
-// Float32 reports whether the matrix stores float32 values.
-func (m *Matrix) Float32() bool { return m.vals32 != nil }
-
-// Compact32 returns a float32-backed copy: every value computed in
-// float64 and rounded once to the nearest float32 (≤ 2⁻²⁴ ≈ 6·10⁻⁸
-// relative error for distances on Earth). Callers opt in explicitly —
-// grids feed decision DPs through capped comparisons, so float32 grids
-// yield float32-exact rather than float64-exact results and are gated
-// by the equivalence suite, not the byte-parity suites.
-func (m *Matrix) Compact32() *Matrix {
-	if m.vals32 != nil {
-		return m
-	}
-	t := &Matrix{n: m.n, m: m.m, vals32: make([]float32, len(m.vals))}
-	for i, v := range m.vals {
-		t.vals32[i] = float32(v)
-	}
-	return t
-}
-
 // Bytes returns the memory footprint of the value storage, used by the
 // space-consumption experiment (Figure 19) and the store's byte budget.
-func (m *Matrix) Bytes() int64 {
-	if m.vals32 != nil {
-		return int64(len(m.vals32)) * 4
-	}
-	return int64(len(m.vals)) * 8
-}
+func (m *Matrix) Bytes() int64 { return int64(len(m.vals)) * 8 }
 
 // Transposed materializes the transpose of m — the grid of (b, a) given
 // the grid of (a, b) — by copying values instead of re-evaluating the
@@ -192,18 +159,7 @@ func (m *Matrix) Bytes() int64 {
 // geo.DistanceFunc contract), so the result is bit-identical to
 // ComputeCross(b, a, df) at a fraction of the cost; the serve-mode store
 // uses it to answer swapped-pair grid requests from one cached matrix.
-// A float32 matrix transposes to a float32 matrix.
 func (m *Matrix) Transposed() *Matrix {
-	if m.vals32 != nil {
-		t := &Matrix{n: m.m, m: m.n, vals32: make([]float32, len(m.vals32))}
-		for i := 0; i < m.n; i++ {
-			row := m.vals32[i*m.m : (i+1)*m.m]
-			for j, v := range row {
-				t.vals32[j*t.m+i] = v
-			}
-		}
-		return t
-	}
 	t := &Matrix{n: m.m, m: m.n, vals: make([]float64, len(m.vals))}
 	for i := 0; i < m.n; i++ {
 		row := m.vals[i*m.m : (i+1)*m.m]

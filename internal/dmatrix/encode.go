@@ -7,36 +7,25 @@ import (
 )
 
 // Binary codec for Matrix, used by the store's disk artifact tier. The
-// encoding is exact: float64 values round-trip bit-for-bit (float32
-// matrices store the 4-byte values), so a matrix read back from disk is
-// indistinguishable from the one written — the property the disk tier's
-// byte-identical restart parity rests on.
+// encoding is exact: float64 values round-trip bit-for-bit, so a matrix
+// read back from disk is indistinguishable from the one written — the
+// property the disk tier's byte-identical restart parity rests on.
 //
 // Layout (all little-endian):
 //
-//	byte 0      storage mode: 0 = float64, 1 = float32
+//	byte 0      storage mode: always 0 (float64); any other value is
+//	            rejected as corrupt
 //	bytes 1-8   n (uint64)
 //	bytes 9-16  m (uint64)
-//	then n*m values, 8 or 4 bytes each by mode
+//	then n*m float64 values, 8 bytes each
 
 const (
 	matrixHeaderLen = 1 + 8 + 8
 	modeFloat64     = 0
-	modeFloat32     = 1
 )
 
 // Marshal encodes the matrix.
 func (m *Matrix) Marshal() []byte {
-	if m.vals32 != nil {
-		out := make([]byte, matrixHeaderLen+4*len(m.vals32))
-		out[0] = modeFloat32
-		binary.LittleEndian.PutUint64(out[1:], uint64(m.n))
-		binary.LittleEndian.PutUint64(out[9:], uint64(m.m))
-		for k, v := range m.vals32 {
-			binary.LittleEndian.PutUint32(out[matrixHeaderLen+4*k:], math.Float32bits(v))
-		}
-		return out
-	}
 	out := make([]byte, matrixHeaderLen+8*len(m.vals))
 	out[0] = modeFloat64
 	binary.LittleEndian.PutUint64(out[1:], uint64(m.n))
@@ -53,7 +42,9 @@ func Unmarshal(data []byte) (*Matrix, error) {
 	if len(data) < matrixHeaderLen {
 		return nil, fmt.Errorf("dmatrix: %d bytes is shorter than the header", len(data))
 	}
-	mode := data[0]
+	if mode := data[0]; mode != modeFloat64 {
+		return nil, fmt.Errorf("dmatrix: unknown storage mode %d", mode)
+	}
 	n := binary.LittleEndian.Uint64(data[1:])
 	mm := binary.LittleEndian.Uint64(data[9:])
 	cells := n * mm
@@ -63,26 +54,12 @@ func Unmarshal(data []byte) (*Matrix, error) {
 		return nil, fmt.Errorf("dmatrix: implausible dimensions %dx%d", n, mm)
 	}
 	body := data[matrixHeaderLen:]
-	switch mode {
-	case modeFloat64:
-		if uint64(len(body)) != 8*cells {
-			return nil, fmt.Errorf("dmatrix: %d value bytes for %dx%d float64 grid", len(body), n, mm)
-		}
-		m := &Matrix{n: int(n), m: int(mm), vals: make([]float64, cells)}
-		for k := range m.vals {
-			m.vals[k] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*k:]))
-		}
-		return m, nil
-	case modeFloat32:
-		if uint64(len(body)) != 4*cells {
-			return nil, fmt.Errorf("dmatrix: %d value bytes for %dx%d float32 grid", len(body), n, mm)
-		}
-		m := &Matrix{n: int(n), m: int(mm), vals32: make([]float32, cells)}
-		for k := range m.vals32 {
-			m.vals32[k] = math.Float32frombits(binary.LittleEndian.Uint32(body[4*k:]))
-		}
-		return m, nil
-	default:
-		return nil, fmt.Errorf("dmatrix: unknown storage mode %d", mode)
+	if uint64(len(body)) != 8*cells {
+		return nil, fmt.Errorf("dmatrix: %d value bytes for %dx%d grid", len(body), n, mm)
 	}
+	m := &Matrix{n: int(n), m: int(mm), vals: make([]float64, cells)}
+	for k := range m.vals {
+		m.vals[k] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*k:]))
+	}
+	return m, nil
 }

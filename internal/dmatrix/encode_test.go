@@ -24,7 +24,6 @@ func TestMatrixMarshalRoundTrip(t *testing.T) {
 	}{
 		{"self", ComputeSelf(a, geo.Haversine)},
 		{"cross", ComputeCross(a, b, geo.Haversine)},
-		{"float32", ComputeCross(a, b, geo.Haversine).Compact32()},
 		{"single", FromRows([][]float64{{42}})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -37,9 +36,6 @@ func TestMatrixMarshalRoundTrip(t *testing.T) {
 			}
 			if got.Bytes() != tc.m.Bytes() {
 				t.Fatalf("Bytes: got %d want %d", got.Bytes(), tc.m.Bytes())
-			}
-			if got.Float32() != tc.m.Float32() {
-				t.Fatalf("Float32 mode lost")
 			}
 		})
 	}
@@ -54,11 +50,14 @@ func TestMatrixUnmarshalRejectsCorruption(t *testing.T) {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
-	// A bogus storage mode and an absurd dimension header must fail too.
+	// Any storage mode but 0 (mode 1 was the retired float32 layout) and
+	// an absurd dimension header must fail too.
 	bad := append([]byte(nil), enc...)
-	bad[0] = 7
-	if _, err := Unmarshal(bad); err == nil {
-		t.Fatal("unknown mode accepted")
+	for _, mode := range []byte{1, 7} {
+		bad[0] = mode
+		if _, err := Unmarshal(bad); err == nil {
+			t.Fatalf("storage mode %d accepted", mode)
+		}
 	}
 	bad = append([]byte(nil), enc...)
 	for k := 1; k < 9; k++ {

@@ -274,7 +274,6 @@ func gtm(a, b []geo.Point, xi, tau int, self bool, opt *core.Options, star bool)
 		var m *dmatrix.Matrix
 		m, rbPoint, reused = core.ResolveArtifacts(opt.Artifacts).Artifacts(core.ArtifactRequest{
 			A: a, B: b, Self: self, Xi: xi, WithBounds: true, Dist: df, Workers: workers,
-			Float32: opt.Float32Grids,
 		})
 		grid = m
 		gridBytes = m.Bytes()

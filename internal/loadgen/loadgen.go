@@ -6,8 +6,10 @@
 // and a capacity-capped registry must stay capped.
 //
 // The generator is deterministic: every worker derives its own
-// rand.Source from Config.Seed, and the trajectory bodies come from the
-// seeded datagen fixtures, so a failing run replays exactly.
+// rand.Source from Config.Seed and queries or deletes only ids it
+// uploaded itself, and the trajectory bodies come from the seeded
+// datagen fixtures, so the op sequence is a function of the seed alone
+// and a failing run replays exactly.
 package loadgen
 
 import (
@@ -18,6 +20,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -234,8 +237,7 @@ func Run(cfg Config) (*Report, error) {
 		MaxP50: cfg.MaxP50, MaxP95: cfg.MaxP95, MaxP99: cfg.MaxP99,
 	}
 	var (
-		mu   sync.Mutex // guards rep, ids and durs
-		ids  []string   // ids this run has uploaded and not yet deleted
+		mu   sync.Mutex // guards rep and durs
 		durs = make(map[string][]time.Duration)
 	)
 	client := &http.Client{Timeout: cfg.Timeout}
@@ -261,15 +263,6 @@ func Run(cfg Config) (*Report, error) {
 			}
 		}
 	}
-	randomID := func(rng *rand.Rand) (string, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if len(ids) == 0 {
-			return "", false
-		}
-		return ids[rng.Intn(len(ids))], true
-	}
-
 	post := func(path string, body []byte) (*http.Response, error) {
 		return client.Post(cfg.BaseURL+path, "application/json", bytes.NewReader(body))
 	}
@@ -286,7 +279,9 @@ func Run(cfg Config) (*Report, error) {
 		}
 	}
 
-	doUpload := func(rng *rand.Rand) {
+	// doUpload posts a random fixture and returns the new id ("" when
+	// the upload failed).
+	doUpload := func(rng *rand.Rand) string {
 		body := bodies[rng.Intn(len(bodies))]
 		start := time.Now()
 		resp, err := post("/trajectories", body)
@@ -304,11 +299,7 @@ func Run(cfg Config) (*Report, error) {
 		} else {
 			record("upload", 0, err, 0)
 		}
-		if id != "" {
-			mu.Lock()
-			ids = append(ids, id)
-			mu.Unlock()
-		}
+		return id
 	}
 
 	var wg sync.WaitGroup
@@ -322,23 +313,38 @@ func Run(cfg Config) (*Report, error) {
 		go func(w, n int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(cfg.Seed*1000 + int64(w)))
+			// ids this client uploaded and has not deleted since. Each
+			// client keeps its own, so whether an op finds an id never
+			// depends on how other clients' requests interleave.
+			var ids []string
+			upload := func() {
+				if id := doUpload(rng); id != "" {
+					ids = append(ids, id)
+				}
+			}
+			randomID := func() (string, bool) {
+				if len(ids) == 0 {
+					return "", false
+				}
+				return ids[rng.Intn(len(ids))], true
+			}
 			for k := 0; k < n; k++ {
 				p := rng.Float64()
 				switch {
 				case p < 0.30: // upload
-					doUpload(rng)
+					upload()
 				case p < 0.60: // discover on a known id
-					id, ok := randomID(rng)
+					id, ok := randomID()
 					if !ok { // nothing uploaded yet: seed the registry instead
-						doUpload(rng)
+						upload()
 						continue
 					}
 					b, _ := json.Marshal(map[string]any{"id": id, "xi": 6})
 					timed("discover", func() (*http.Response, error) { return post("/discover", b) })
 				case p < 0.72: // knn over the default dataset
-					id, ok := randomID(rng)
+					id, ok := randomID()
 					if !ok {
-						doUpload(rng)
+						upload()
 						continue
 					}
 					b, _ := json.Marshal(map[string]any{"query": id, "k": 2})
@@ -347,15 +353,17 @@ func Run(cfg Config) (*Report, error) {
 					b, _ := json.Marshal(map[string]any{"eps": 500.0})
 					timed("join", func() (*http.Response, error) { return post("/join", b) })
 				case p < 0.90: // delete a known id
-					id, ok := randomID(rng)
+					id, ok := randomID()
 					if !ok {
-						doUpload(rng)
+						upload()
 						continue
 					}
 					timed("delete", func() (*http.Response, error) {
 						req, _ := http.NewRequest(http.MethodDelete, cfg.BaseURL+"/trajectories/"+id, nil)
 						return client.Do(req)
 					})
+					// Gone either way: deleted now, or already evicted (404).
+					ids = slices.DeleteFunc(ids, func(s string) bool { return s == id })
 				default: // observability endpoints under traffic
 					path := "/stats"
 					if rng.Intn(2) == 0 {

@@ -8,11 +8,9 @@ import (
 	"trajmotif/internal/traj"
 )
 
-// Backend is the state surface the HTTP layer serves from: the
-// single-process *store.Store implements it directly, and the sharded
-// coordinator (internal/shard) implements it over N stores — handlers
-// cannot tell the difference, which is what makes the N-shard deployment
-// byte-identical to the 1-shard one at the API.
+// Backend is the state surface the HTTP layer serves from. *store.Store
+// implements it directly; keeping handlers behind the interface lets a
+// wrapper (such as a tracing shim) stand in for the store unchanged.
 type Backend interface {
 	core.ArtifactSource
 
@@ -31,14 +29,6 @@ type Backend interface {
 
 	// Observability surface.
 	Stats() store.Stats
-}
-
-// ShardedBackend is the optional extension a sharded backend provides;
-// /metrics surfaces per-shard gauges when the server's backend has it.
-type ShardedBackend interface {
-	Backend
-	Shards() int
-	PerShardStats() []store.Stats
 }
 
 var _ Backend = (*store.Store)(nil)

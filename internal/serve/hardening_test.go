@@ -429,8 +429,16 @@ func TestKNNDefaultDuringAutoEviction(t *testing.T) {
 		}
 		bodies[k], _ = json.Marshal(req)
 	}
+	// The churn starts only once a /knn has found its query: three churn
+	// uploads before the first /knn would LRU-evict the query and leave
+	// nothing to overlap with.
+	start := make(chan struct{})
+	var startOnce sync.Once
+	release := func() { startOnce.Do(func() { close(start) }) }
+	defer release() // a failed test must not strand the churn goroutine
 	done := make(chan error, 1)
 	go func() {
+		<-start
 		for k := range bodies {
 			resp, err := http.Post(ts.URL+"/trajectories", "application/json", bytes.NewReader(bodies[k]))
 			if err != nil {
@@ -455,6 +463,7 @@ func TestKNNDefaultDuringAutoEviction(t *testing.T) {
 		resp.Body.Close()
 		switch resp.StatusCode {
 		case http.StatusOK:
+			release()
 			sawKNNOK = true
 		case http.StatusNotFound: // the query itself was evicted
 		default:
@@ -470,6 +479,7 @@ func TestKNNDefaultDuringAutoEviction(t *testing.T) {
 			t.Fatalf("join default mid-eviction-churn: status %d", resp.StatusCode)
 		}
 	}
+	release() // let the churn run even if no /knn succeeded, so its errors surface
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}

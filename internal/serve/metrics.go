@@ -8,8 +8,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"trajmotif/internal/store"
 )
 
 // latencyBuckets are the request-duration histogram upper bounds in
@@ -89,7 +87,6 @@ type liveCounters struct {
 	diskWrites       int64
 	diskReads        int64
 	diskErrors       int64
-	shards           int
 	indexConsulted   int64
 	indexPruned      int64
 	admissionInUse   int64
@@ -98,9 +95,6 @@ type liveCounters struct {
 	uptimeSeconds    float64
 	workerCapacity   int64
 	admissionEnabled bool
-	// perShard carries one store snapshot per shard (nil for a plain
-	// store backend), rendered as shard-labelled gauges.
-	perShard []store.Stats
 }
 
 // render writes the Prometheus text exposition (version 0.0.4). Output
@@ -177,8 +171,6 @@ func (m *metrics) render(w *strings.Builder, live liveCounters) {
 	counter("motifserve_disk_writes_total", "Artifacts spilled to the disk tier.", live.diskWrites)
 	counter("motifserve_disk_reads_total", "Artifacts promoted from the disk tier.", live.diskReads)
 	counter("motifserve_disk_errors_total", "Disk-tier write failures plus torn artifacts healed on read.", live.diskErrors)
-	gauge("motifserve_shards", "Store shards behind the server (1 = unsharded).", live.shards)
-	renderPerShard(w, live.perShard)
 
 	if live.admissionEnabled {
 		gauge("motifserve_admission_worker_capacity", "Configured global search-worker capacity.", live.workerCapacity)
@@ -187,66 +179,6 @@ func (m *metrics) render(w *strings.Builder, live liveCounters) {
 	}
 	counter("motifserve_admission_rejected_total", "Search requests rejected with 429 by admission control.", live.admissionReject)
 	gauge("motifserve_uptime_seconds", "Seconds since the server started.", strconv.FormatFloat(live.uptimeSeconds, 'f', 3, 64))
-}
-
-// renderPerShard emits one shard-labelled series per store counter — the
-// per-shard breakdown of the aggregate gauges above, for spotting a hot
-// or failing shard. Every exported store.Stats field is represented, so
-// a counter added to the store cannot silently vanish from the per-shard
-// view (the statsmerge check enforces this).
-func renderPerShard(w *strings.Builder, snaps []store.Stats) {
-	if len(snaps) == 0 {
-		return
-	}
-	series := []struct {
-		name, help, typ string
-		val             func(st store.Stats) string
-	}{
-		{"motifserve_shard_trajectories", "Trajectories registered on the shard.", "gauge",
-			func(st store.Stats) string { return strconv.Itoa(st.Trajectories) }},
-		{"motifserve_shard_trajectories_max", "Shard registry capacity (0 = unbounded).", "gauge",
-			func(st store.Stats) string { return strconv.Itoa(st.MaxTrajectories) }},
-		{"motifserve_shard_trajectory_ttl_seconds", "Shard registry idle TTL (0 = disabled).", "gauge",
-			func(st store.Stats) string { return strconv.FormatFloat(st.TrajectoryTTL.Seconds(), 'f', 3, 64) }},
-		{"motifserve_shard_cache_artifacts", "Artifacts resident in the shard's cache.", "gauge",
-			func(st store.Stats) string { return strconv.Itoa(st.Artifacts) }},
-		{"motifserve_shard_cache_bytes", "Bytes resident in the shard's cache.", "gauge",
-			func(st store.Stats) string { return strconv.FormatInt(st.CacheBytes, 10) }},
-		{"motifserve_shard_cache_budget_bytes", "Shard artifact-cache byte budget.", "gauge",
-			func(st store.Stats) string { return strconv.FormatInt(st.CacheBudget, 10) }},
-		{"motifserve_shard_artifacts_built_total", "Artifact constructions performed by the shard.", "counter",
-			func(st store.Stats) string { return strconv.FormatInt(st.Built, 10) }},
-		{"motifserve_shard_artifacts_reused_total", "Artifact constructions skipped by the shard's caches.", "counter",
-			func(st store.Stats) string { return strconv.FormatInt(st.Reused, 10) }},
-		{"motifserve_shard_artifact_evictions_total", "Artifacts dropped by the shard's budget or purges.", "counter",
-			func(st store.Stats) string { return strconv.FormatInt(st.Evicted, 10) }},
-		{"motifserve_shard_removed_total", "Trajectories manually removed from the shard.", "counter",
-			func(st store.Stats) string { return strconv.FormatInt(st.Removed, 10) }},
-		{"motifserve_shard_evicted_lru_total", "Trajectories LRU-evicted from the shard.", "counter",
-			func(st store.Stats) string { return strconv.FormatInt(st.EvictedLRU, 10) }},
-		{"motifserve_shard_evicted_ttl_total", "Trajectories TTL-expired from the shard.", "counter",
-			func(st store.Stats) string { return strconv.FormatInt(st.EvictedTTL, 10) }},
-		{"motifserve_shard_pair_dists_built_total", "Endpoint-distance memos built by the shard.", "counter",
-			func(st store.Stats) string { return strconv.FormatInt(st.PairDistsBuilt, 10) }},
-		{"motifserve_shard_pair_dists_reused_total", "Endpoint-distance memos served from the shard's caches.", "counter",
-			func(st store.Stats) string { return strconv.FormatInt(st.PairDistsReused, 10) }},
-		{"motifserve_shard_disk_artifacts", "Artifacts resident in the shard's disk tier.", "gauge",
-			func(st store.Stats) string { return strconv.Itoa(st.DiskArtifacts) }},
-		{"motifserve_shard_disk_bytes", "Bytes resident in the shard's disk tier.", "gauge",
-			func(st store.Stats) string { return strconv.FormatInt(st.DiskBytes, 10) }},
-		{"motifserve_shard_disk_writes_total", "Artifacts the shard spilled to disk.", "counter",
-			func(st store.Stats) string { return strconv.FormatInt(st.DiskWrites, 10) }},
-		{"motifserve_shard_disk_reads_total", "Artifacts the shard promoted from disk.", "counter",
-			func(st store.Stats) string { return strconv.FormatInt(st.DiskReads, 10) }},
-		{"motifserve_shard_disk_errors_total", "Shard disk-tier failures and healed torn artifacts.", "counter",
-			func(st store.Stats) string { return strconv.FormatInt(st.DiskErrors, 10) }},
-	}
-	for _, s := range series {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", s.name, s.help, s.name, s.typ)
-		for i, st := range snaps {
-			fmt.Fprintf(w, "%s{shard=\"%d\"} %s\n", s.name, i, s.val(st))
-		}
-	}
 }
 
 // statusRecorder wraps a ResponseWriter to capture the status code and

@@ -132,8 +132,8 @@ type Server struct {
 	projectionFallbacks atomic.Int64
 }
 
-// New builds a server around a backend — a *store.Store, or the sharded
-// coordinator. opt may be nil for defaults.
+// New builds a server around a backend, normally a *store.Store. opt
+// may be nil for defaults.
 func New(st Backend, opt *Options) *Server {
 	s := &Server{st: st, maxBody: DefaultMaxBodyBytes, met: newMetrics(), started: time.Now()}
 	maxConc := 0
@@ -1000,19 +1000,9 @@ type serverStats struct {
 	DiskWrites          int64  `json:"diskWrites"`
 	DiskReads           int64  `json:"diskReads"`
 	DiskErrors          int64  `json:"diskErrors"`
-	Shards              int    `json:"shards"`
 	Requests            int64  `json:"requests"`
 	Rejected            int64  `json:"rejected"`
 	Uptime              string `json:"uptime"`
-}
-
-// shardCount reports the backend's shard count: N for the coordinator,
-// 1 for a plain store.
-func (s *Server) shardCount() int {
-	if sb, ok := s.st.(ShardedBackend); ok {
-		return sb.Shards()
-	}
-	return 1
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -1041,7 +1031,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		DiskWrites:          st.DiskWrites,
 		DiskReads:           st.DiskReads,
 		DiskErrors:          st.DiskErrors,
-		Shards:              s.shardCount(),
 		Requests:            s.requests.Load(),
 		Rejected:            s.rejected.Load(),
 		Uptime:              time.Since(s.started).Round(time.Millisecond).String(),
@@ -1074,7 +1063,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		diskWrites:      st.DiskWrites,
 		diskReads:       st.DiskReads,
 		diskErrors:      st.DiskErrors,
-		shards:          s.shardCount(),
 		indexConsulted:  s.indexConsulted.Load(),
 		indexPruned:     s.indexPruned.Load(),
 		admissionReject: s.rejected.Load(),
@@ -1084,9 +1072,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		live.admissionEnabled = true
 		live.workerCapacity = s.capacity
 		live.admissionInUse, live.admissionQueued = s.sem.snapshot()
-	}
-	if sb, ok := s.st.(ShardedBackend); ok {
-		live.perShard = sb.PerShardStats()
 	}
 	var b strings.Builder
 	s.met.render(&b, live)

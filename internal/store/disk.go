@@ -31,7 +31,7 @@ import (
 //
 // File names encode the full artifact key —
 //
-//	<kind>-<a>-<b|"self">-<xi>-<f32|f64>.art
+//	<kind>-<a>-<b|"self">-<xi>.art
 //
 // with a and b the hex point-content hashes — so the startup scan
 // rebuilds the index without opening a single file; contents are
@@ -70,11 +70,7 @@ func artifactFileName(k artifactKey) string {
 	if b == "" {
 		b = "self"
 	}
-	bits := "f64"
-	if k.f32 {
-		bits = "f32"
-	}
-	return fmt.Sprintf("%s-%s-%s-%d-%s%s", kindNames[k.kind], k.a, b, k.xi, bits, artifactExt)
+	return fmt.Sprintf("%s-%s-%s-%d%s", kindNames[k.kind], k.a, b, k.xi, artifactExt)
 }
 
 // parseArtifactName inverts artifactFileName. IDs are hex, so the dash
@@ -85,7 +81,7 @@ func parseArtifactName(name string) (artifactKey, bool) {
 		return artifactKey{}, false
 	}
 	parts := strings.Split(base, "-")
-	if len(parts) != 5 {
+	if len(parts) != 4 {
 		return artifactKey{}, false
 	}
 	var k artifactKey
@@ -108,13 +104,6 @@ func parseArtifactName(name string) (artifactKey, bool) {
 		return artifactKey{}, false
 	}
 	k.xi = int(xi)
-	switch parts[4] {
-	case "f32":
-		k.f32 = true
-	case "f64":
-	default:
-		return artifactKey{}, false
-	}
 	return k, true
 }
 
@@ -315,20 +304,17 @@ func (s *Store) diskDropLocked(k artifactKey) {
 // pid, files included — the disk half of evictLocked's cache purge, so
 // Remove and auto-eviction can never leave a stale artifact to be
 // promoted later.
-func (s *Store) diskPurgeLocked(pid ID) int {
+func (s *Store) diskPurgeLocked(pid ID) {
 	if s.disk == nil {
-		return 0
+		return
 	}
-	n := 0
 	for key, size := range s.disk.index {
 		if key.a == pid || key.b == pid {
 			s.disk.removeArtifact(key)
 			delete(s.disk.index, key)
 			s.disk.bytes -= size
-			n++
 		}
 	}
-	return n
 }
 
 // spill writes an artifact through to disk (outside the lock; the caller

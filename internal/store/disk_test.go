@@ -1,6 +1,8 @@
 package store
 
 import (
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +12,7 @@ import (
 	"trajmotif/internal/core"
 	"trajmotif/internal/geo"
 	"trajmotif/internal/group"
+	"trajmotif/internal/traj"
 )
 
 // diskReq is the canonical small artifact request the disk suite drives
@@ -264,6 +267,90 @@ func TestDiskFaultInjection(t *testing.T) {
 			t.Fatalf("junk .art survived the scan: %+v", st)
 		}
 	})
+
+	// Files from before the format change are recomputable caches: the
+	// next discover must rebuild them and answer exactly as a store that
+	// never saw them.
+	tr := traj.FromPoints(pts)
+	want, err := core.BTM(tr, req.Xi, &core.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	discover := func(t *testing.T, s *Store) {
+		t.Helper()
+		got, err := core.BTM(tr, req.Xi, &core.Options{Workers: 1, Artifacts: s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Distance != want.Distance || got.A != want.A || got.B != want.B {
+			t.Fatalf("discover after reaping = %+v, want %+v", got, want)
+		}
+	}
+	// The old filename grammar carried a -f32|f64 storage field; the
+	// startup scan cannot parse it and reaps the file.
+	t.Run("legacy-name", func(t *testing.T) {
+		dir := t.TempDir()
+		for _, name := range artNames {
+			data, err := os.ReadFile(filepath.Join(refDir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			legacy := strings.TrimSuffix(name, artifactExt) + "-f64" + artifactExt
+			if err := os.WriteFile(filepath.Join(dir, legacy), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s := New(&Options{ArtifactDir: dir})
+		if st := s.Stats(); st.DiskErrors != int64(len(artNames)) || st.DiskArtifacts != 0 {
+			t.Fatalf("legacy names not reaped: %+v", st)
+		}
+		discover(t, s)
+		if st := s.Stats(); st.Built != 2 || st.DiskReads != 0 {
+			t.Fatalf("discover did not rebuild: %+v", st)
+		}
+		left, _ := filepath.Glob(filepath.Join(dir, "*-f64"+artifactExt))
+		if len(left) != 0 {
+			t.Fatalf("legacy files survived: %v", left)
+		}
+	})
+	// A grid payload in the retired float32 layout (storage mode 1)
+	// under a valid name passes the container checks but not the grid
+	// decoder: the read heals it like a torn file.
+	t.Run("mode1-grid", func(t *testing.T) {
+		dir := t.TempDir()
+		enc := refG.Marshal()
+		n, m := refG.Dims()
+		old := make([]byte, 17+4*n*m)
+		old[0] = 1
+		copy(old[1:17], enc[1:17])
+		for i := 0; i < n; i++ {
+			for j := 0; j < m; j++ {
+				binary.LittleEndian.PutUint32(old[17+4*(i*m+j):], math.Float32bits(float32(refG.At(i, j))))
+			}
+		}
+		var gridName string
+		for _, name := range artNames {
+			if strings.HasPrefix(name, kindNames[kindSelfGrid]+"-") {
+				gridName = name
+			}
+		}
+		key, ok := parseArtifactName(gridName)
+		if !ok {
+			t.Fatalf("reference grid file %q missing or unparseable", gridName)
+		}
+		if _, err := (&diskTier{dir: dir}).writeArtifact(key, old); err != nil {
+			t.Fatal(err)
+		}
+		s := New(&Options{ArtifactDir: dir})
+		if st := s.Stats(); st.DiskArtifacts != 1 || st.DiskErrors != 0 {
+			t.Fatalf("valid name not indexed: %+v", st)
+		}
+		discover(t, s)
+		if st := s.Stats(); st.DiskErrors != 1 || st.Built != 2 {
+			t.Fatalf("mode-1 grid not healed and rebuilt: %+v", st)
+		}
+		check(t, dir, false)
+	})
 }
 
 // TestSnapshotRestartParity is the tentpole acceptance test: populate,
@@ -361,16 +448,16 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := DecodeSnapshot(data)
+	ts, err := decodeSnapshot(data)
 	if err != nil || len(ts) != 2 {
 		t.Fatalf("decode: %d trajectories, err=%v", len(ts), err)
 	}
 	for cut := 0; cut < len(data); cut++ {
-		if _, err := DecodeSnapshot(data[:cut]); err == nil {
+		if _, err := decodeSnapshot(data[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
-	if _, err := DecodeSnapshot(append(append([]byte(nil), data...), 0)); err == nil {
+	if _, err := decodeSnapshot(append(append([]byte(nil), data...), 0)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 	// Restore of a missing file is a clean first boot, not an error.

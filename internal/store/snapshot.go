@@ -32,10 +32,8 @@ import (
 
 const snapshotMagic = "TMSNAP1\n"
 
-// EncodeSnapshot serializes trajectories into the snapshot format. The
-// shard coordinator shares this codec: it snapshots the union of its
-// shards into one file and re-routes on restore.
-func EncodeSnapshot(ts []*traj.Trajectory) []byte {
+// encodeSnapshot serializes trajectories into the snapshot format.
+func encodeSnapshot(ts []*traj.Trajectory) []byte {
 	size := len(snapshotMagic) + 8 + sha256.Size
 	for _, t := range ts {
 		size += 8 + 1 + 16*len(t.Points)
@@ -67,10 +65,10 @@ func EncodeSnapshot(ts []*traj.Trajectory) []byte {
 	return append(out, sum[:]...)
 }
 
-// DecodeSnapshot parses a snapshot produced by EncodeSnapshot. Any
+// decodeSnapshot parses a snapshot produced by encodeSnapshot. Any
 // truncation, trailing data, or checksum mismatch is an error — a torn
 // snapshot is rejected whole rather than partially restored.
-func DecodeSnapshot(data []byte) ([]*traj.Trajectory, error) {
+func decodeSnapshot(data []byte) ([]*traj.Trajectory, error) {
 	if len(data) < len(snapshotMagic)+8+sha256.Size {
 		return nil, fmt.Errorf("store: snapshot truncated to %d bytes", len(data))
 	}
@@ -139,9 +137,9 @@ func DecodeSnapshot(data []byte) ([]*traj.Trajectory, error) {
 	return ts, nil
 }
 
-// WriteSnapshotFile writes an encoded snapshot atomically: temp file in
+// writeSnapshotFile writes an encoded snapshot atomically: temp file in
 // the destination directory, fsync, rename, directory fsync.
-func WriteSnapshotFile(path string, data []byte) error {
+func writeSnapshotFile(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, artifactTmpPref+"snap-*")
 	if err != nil {
@@ -178,16 +176,16 @@ func (s *Store) Snapshot(path string) (int, error) {
 		ts = append(ts, s.trajs[id])
 	}
 	s.mu.Unlock()
-	if err := WriteSnapshotFile(path, EncodeSnapshot(ts)); err != nil {
+	if err := writeSnapshotFile(path, encodeSnapshot(ts)); err != nil {
 		return 0, err
 	}
 	return len(ts), nil
 }
 
-// ReadSnapshotFile loads and decodes a snapshot file. A missing file is
+// readSnapshotFile loads and decodes a snapshot file. A missing file is
 // not an error — it is a first boot, reported as an empty snapshot — but
 // a corrupt one is.
-func ReadSnapshotFile(path string) ([]*traj.Trajectory, error) {
+func readSnapshotFile(path string) ([]*traj.Trajectory, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -195,7 +193,7 @@ func ReadSnapshotFile(path string) ([]*traj.Trajectory, error) {
 		}
 		return nil, err
 	}
-	return DecodeSnapshot(data)
+	return decodeSnapshot(data)
 }
 
 // Restore re-registers every trajectory from a snapshot file, returning
@@ -204,7 +202,7 @@ func ReadSnapshotFile(path string) ([]*traj.Trajectory, error) {
 // registry matches the snapshotted one exactly, and artifacts already in
 // the disk tier reattach to their keys without recomputation.
 func (s *Store) Restore(path string) (int, error) {
-	ts, err := ReadSnapshotFile(path)
+	ts, err := readSnapshotFile(path)
 	if err != nil {
 		return 0, err
 	}

@@ -160,15 +160,11 @@ const (
 )
 
 // artifactKey identifies one memoized artifact. b is empty for self
-// artifacts; xi is zero for grids (bound tables depend on it); f32
-// separates float32 grids and their bound tables from float64 ones —
-// serving one storage mode to a request for the other would silently
-// change results between cached and uncached runs.
+// artifacts; xi is zero for grids (bound tables depend on it).
 type artifactKey struct {
 	kind artifactKind
 	a, b ID
 	xi   int
-	f32  bool
 }
 
 // entry is one cache resident.
@@ -333,15 +329,9 @@ func hashTrajectory(t *traj.Trajectory) ID {
 }
 
 // IDFor returns the registry content ID a trajectory would be stored
-// under — the hash Add derives — without touching the store. The shard
-// coordinator routes by it before deciding which shard's Add to call.
+// under — the hash Add derives — without touching the store, so a
+// client can name a trajectory before uploading it.
 func IDFor(t *traj.Trajectory) ID { return hashTrajectory(t) }
-
-// PointsID returns the geometry content ID of a point sequence — the
-// hash artifact keys are derived from. Artifacts for a trajectory live
-// on the shard its *points* hash routes to (grids ignore timestamps),
-// which can differ from the shard its registry ID routes to.
-func PointsID(pts []geo.Point) ID { return hashPoints(pts) }
 
 // Add registers a trajectory and returns its content ID. created is
 // false when an identical trajectory was already present (the existing
@@ -507,32 +497,17 @@ func (s *Store) evictLocked(id ID, cause EvictCause) bool {
 }
 
 // purgeArtifactsLocked drops every cached artifact — RAM and disk —
-// derived from the geometry pid, returning how many were purged.
-func (s *Store) purgeArtifactsLocked(pid ID) int {
-	n := 0
+// derived from the geometry pid.
+func (s *Store) purgeArtifactsLocked(pid ID) {
 	for key, e := range s.cache {
 		if key.a == pid || key.b == pid {
 			s.lru.Remove(e.elem)
 			delete(s.cache, key)
 			s.bytes -= e.bytes
 			s.evicted++
-			n++
 		}
 	}
-	return n + s.diskPurgeLocked(pid)
-}
-
-// PurgeArtifacts drops every cached artifact derived from the geometry
-// pid (a hashPoints/PointsID content hash) without touching the
-// registry. The sharded coordinator needs it: a trajectory registers on
-// the shard its registry ID hashes to, but its artifacts live on the
-// shard its *points* hash routes to, so a Remove must broadcast the
-// artifact purge to the other shards. Returns how many artifacts were
-// purged across both tiers.
-func (s *Store) PurgeArtifacts(pid ID) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.purgeArtifactsLocked(pid)
+	s.diskPurgeLocked(pid)
 }
 
 // Get returns a registered trajectory, refreshing its recency ("touch
@@ -723,11 +698,10 @@ func (s *Store) Artifacts(req core.ArtifactRequest) (*dmatrix.Matrix, *bounds.Re
 		}
 	}
 	// Swapped-pair fallback: the (B, A) grid transposes into the (A, B)
-	// grid without touching the ground distance (a float32 grid
-	// transposes to a float32 grid, so the storage mode is preserved).
+	// grid without touching the ground distance.
 	var swapped *dmatrix.Matrix
 	if g == nil && !req.Self {
-		if e, ok := s.cache[artifactKey{kind: kindCrossGrid, a: bid, b: aid, f32: req.Float32}]; ok {
+		if e, ok := s.cache[artifactKey{kind: kindCrossGrid, a: bid, b: aid}]; ok {
 			swapped = e.val.(*dmatrix.Matrix)
 			s.lru.MoveToFront(e.elem)
 		}
@@ -747,7 +721,7 @@ func (s *Store) Artifacts(req core.ArtifactRequest) (*dmatrix.Matrix, *bounds.Re
 	var diskFailed []artifactKey
 	if diskGrid {
 		if payload, err := s.disk.readArtifact(gk); err == nil {
-			if m, derr := dmatrix.Unmarshal(payload); derr == nil && m.Float32() == req.Float32 {
+			if m, derr := dmatrix.Unmarshal(payload); derr == nil {
 				g, promotedGrid = m, true
 			} else {
 				s.disk.removeArtifact(gk)
@@ -779,11 +753,6 @@ func (s *Store) Artifacts(req core.ArtifactRequest) (*dmatrix.Matrix, *bounds.Re
 			g = dmatrix.ComputeSelfParallel(req.A, s.df, req.Workers)
 		} else {
 			g = dmatrix.ComputeCrossParallel(req.A, req.B, s.df, req.Workers)
-		}
-		if req.Float32 && !g.Float32() {
-			// Round before deriving bounds, matching the always-compute
-			// source: bound tables and grid must agree.
-			g = g.Compact32()
 		}
 		builtGrid = true
 	}
@@ -1026,11 +995,11 @@ func (s *Store) compute(req core.ArtifactRequest) (*dmatrix.Matrix, *bounds.Rela
 
 func keysFor(req core.ArtifactRequest, aid, bid ID) (grid, bnds artifactKey) {
 	if req.Self {
-		return artifactKey{kind: kindSelfGrid, a: aid, f32: req.Float32},
-			artifactKey{kind: kindSelfBounds, a: aid, xi: req.Xi, f32: req.Float32}
+		return artifactKey{kind: kindSelfGrid, a: aid},
+			artifactKey{kind: kindSelfBounds, a: aid, xi: req.Xi}
 	}
-	return artifactKey{kind: kindCrossGrid, a: aid, b: bid, f32: req.Float32},
-		artifactKey{kind: kindCrossBounds, a: aid, b: bid, xi: req.Xi, f32: req.Float32}
+	return artifactKey{kind: kindCrossGrid, a: aid, b: bid},
+		artifactKey{kind: kindCrossBounds, a: aid, b: bid, xi: req.Xi}
 }
 
 // insertLocked adds an artifact and evicts from the LRU tail until the

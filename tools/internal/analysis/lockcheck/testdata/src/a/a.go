@@ -60,9 +60,8 @@ func (p *NoMu) addLocked() { p.n++ }
 
 func UseNoMu(p *NoMu) { p.addLocked() }
 
-// The shard-coordinator shape (internal/shard): a fan-out type whose
-// own mutex guards routing state while each sub-store keeps its own
-// lock. The coordinator's *Locked methods follow the usual contract,
+// The coordinator shape: a fan-out type whose own mutex guards routing
+// state while each sub-store keeps its own lock. The coordinator's *Locked methods follow the usual contract,
 // and holding the coordinator's mutex licenses only them — never a
 // sub-store's *Locked methods.
 type Sub struct {

@@ -49,7 +49,6 @@ import (
 	"trajmotif/internal/knn"
 	"trajmotif/internal/prep"
 	"trajmotif/internal/serve"
-	"trajmotif/internal/shard"
 	"trajmotif/internal/spatial"
 	"trajmotif/internal/store"
 	"trajmotif/internal/symbolic"
@@ -471,13 +470,8 @@ type (
 	// ArtifactSource supplies precomputed grids and bound tables to a
 	// search (Options.Artifacts); *Store is the memoizing implementation.
 	ArtifactSource = core.ArtifactSource
-	// ShardedStore hash-partitions trajectories across N in-process
-	// Store shards behind the same retrieval surface, scatter-gathering
-	// registry operations and merging stats; results and effort counters
-	// are byte-identical to a single Store at any shard count.
-	ShardedStore = shard.Coordinator
-	// ServeBackend is the store surface a Server fronts; both *Store and
-	// *ShardedStore implement it.
+	// ServeBackend is the store surface a Server fronts; *Store
+	// implements it.
 	ServeBackend = serve.Backend
 )
 
@@ -488,18 +482,12 @@ const DefaultCacheBytes = store.DefaultCacheBytes
 // (haversine ground distance, DefaultCacheBytes budget).
 func NewStore(opt *StoreOptions) *Store { return store.New(opt) }
 
-// NewShardedStore partitions trajectories across n store shards, each
-// configured from opt with the cache budget and registry capacity split
-// evenly (and ArtifactDir, when set, given a shard-<i> subdirectory).
-// opt may be nil for defaults; n must be >= 1.
-func NewShardedStore(n int, opt *StoreOptions) (*ShardedStore, error) { return shard.New(n, opt) }
-
 // NewServer builds the motif server around a store; opt may be nil.
 // Serve it with net/http: http.ListenAndServe(addr, srv).
 func NewServer(st *Store, opt *ServerOptions) *Server { return serve.New(st, opt) }
 
-// NewServerWith builds the motif server around any ServeBackend — a
-// *Store or a *ShardedStore. opt may be nil.
+// NewServerWith builds the motif server around any ServeBackend, such as
+// a *Store wrapped for tracing. opt may be nil.
 func NewServerWith(b ServeBackend, opt *ServerOptions) *Server { return serve.New(b, opt) }
 
 // WriteGeoJSON exports the trajectory with the motif's two legs
