@@ -29,8 +29,9 @@ import (
 // JSONSchema versions the report layout; bump it when fields change
 // meaning so the baseline diff fails loudly instead of silently.
 // Schema 2 adds the projected-join fallback counter; schema 3 drops the
-// kernel variant section (its float64 row repeated the geolife BTM run).
-const JSONSchema = 3
+// kernel variant section (its float64 row repeated the geolife BTM run);
+// schema 4 adds the grouping-phase counters to the GTM motif rows.
+const JSONSchema = 4
 
 // JSONConfig pins everything the workload depends on, so a later PR can
 // regenerate the identical run from the checked-in file alone.
@@ -58,7 +59,21 @@ type JSONMotifRun struct {
 	SubsetsProcessed int64   `json:"subsetsProcessed"`
 	SubsetsAbandoned int64   `json:"subsetsAbandoned"`
 	DPCells          int64   `json:"dpCells"`
-	WallMS           float64 `json:"wall_ms"`
+	// *JSONGroupRun is set on GTM rows only; its fields are inlined.
+	*JSONGroupRun
+	WallMS float64 `json:"wall_ms"`
+}
+
+// JSONGroupRun is GTM's grouping phase (§5): levels run, group pairs
+// evaluated and pruned, bsf tightenings by GUB_DFD, point cells handed
+// to the point-level sweep, and interval-DFD cells filled.
+type JSONGroupRun struct {
+	Levels           int   `json:"levels"`
+	GroupPairs       int64 `json:"groupPairs"`
+	GroupPairsPruned int64 `json:"groupPairsPruned"`
+	BsfTightenings   int64 `json:"bsfTightenings"`
+	PointCells       int64 `json:"pointCells"`
+	IntervalCells    int64 `json:"intervalCells"`
 }
 
 // JSONKNNRun is the indexed k-nearest search over the mixed corpus.
@@ -168,7 +183,17 @@ func BuildJSONReport(cfg Config) (*JSONReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench json: GTM on %s: %w", name, err)
 		}
-		rep.Motif = append(rep.Motif, motifRun(string(name), "gtm", &gr.Result, time.Since(start)))
+		run := motifRun(string(name), "gtm", &gr.Result, time.Since(start))
+		g := gr.Group
+		run.JSONGroupRun = &JSONGroupRun{
+			Levels:           g.Levels,
+			GroupPairs:       g.GroupPairs,
+			GroupPairsPruned: g.GroupPairsPruned,
+			BsfTightenings:   g.BsfTightenings,
+			PointCells:       g.PointCells,
+			IntervalCells:    g.IntervalCells,
+		}
+		rep.Motif = append(rep.Motif, run)
 		start = time.Now()
 		br, err := core.BTM(t, jc.MotifXi, sopt)
 		if err != nil {

@@ -45,6 +45,7 @@ import (
 
 	"trajmotif/internal/bounds"
 	"trajmotif/internal/dist"
+	"trajmotif/internal/dmatrix"
 	"trajmotif/internal/traj"
 )
 
@@ -144,7 +145,9 @@ type engine struct {
 	best  witness
 	stats Stats
 
-	prev, cur []float64
+	// prev and cur are the rolling DP rows; row is scratch for ground
+	// rows of a grid that is not materialized (GTM*'s Fly).
+	prev, cur, row []float64
 }
 
 func newEngine(s *Searcher) *engine {
@@ -152,6 +155,7 @@ func newEngine(s *Searcher) *engine {
 		p:    &s.p,
 		prev: make([]float64, s.p.m),
 		cur:  make([]float64, s.p.m),
+		row:  make([]float64, s.p.m),
 	}
 }
 
@@ -208,7 +212,7 @@ func (e *engine) processSubset(pos int64, i, j int) {
 
 	// Boundary row (ie = i): dF[i][je] is the running max of dG(i, j..je),
 	// the DFD of the single-point prefix against the growing second leg.
-	dist.DFDBoundaryRow(p.g, i, j, jmax, e.prev)
+	dist.DFDBoundaryRow(dmatrix.RowRange(p.g, i, j, jmax, e.row), e.prev)
 
 	// colMax tracks the boundary column dF[ie][j] = max dG(i..ie, j).
 	colMax := e.prev[0]
@@ -224,11 +228,12 @@ func (e *engine) processSubset(pos int64, i, j int) {
 			}
 		}
 
-		if d := p.g.At(ie, j); d > colMax {
+		ground := dmatrix.RowRange(p.g, ie, j, jmax, e.row)
+		if d := ground[0]; d > colMax {
 			colMax = d
 		}
 		e.cur[0] = colMax
-		rowMin := dist.DFDRelaxRow(p.g, ie, j, jmax, e.prev, e.cur)
+		rowMin := dist.DFDRelaxRow(ground, e.prev, e.cur)
 		cells += int64(jmax-j) + 1
 
 		// Candidate scan: cells with both legs longer than ξ steps.
@@ -344,17 +349,18 @@ func (s *Searcher) ProcessList(list []Entry, sorted bool) {
 	s.seq += int64(len(list))
 }
 
-// ParallelFor runs fn(k) for every 0 <= k < n over a bounded worker
-// pool. Each fn(k) must be independent of the others (outputs land in
-// per-k slots), which keeps the result schedule-free. workers <= 1 runs
-// inline.
-func ParallelFor(workers, n int, fn func(k int)) {
+// ParallelFor runs fn(w, k) for every 0 <= k < n over a bounded worker
+// pool; w < min(workers, n) names the worker running k, so callers can
+// keep per-worker scratch. Each fn(w, k) must be independent of the
+// others (outputs land in per-k slots), which keeps the result
+// schedule-free. workers <= 1 runs inline as worker 0.
+func ParallelFor(workers, n int, fn func(w, k int)) {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for k := 0; k < n; k++ {
-			fn(k)
+			fn(0, k)
 		}
 		return
 	}
@@ -369,7 +375,7 @@ func ParallelFor(workers, n int, fn func(k int)) {
 				if k >= n {
 					return
 				}
-				fn(k)
+				fn(w, k)
 			}
 		}()
 	}
@@ -413,7 +419,7 @@ func SortEntries(list []Entry, workers int) {
 	for w := 0; w <= workers; w++ {
 		bounds[w] = w * len(list) / workers
 	}
-	ParallelFor(workers, workers, func(w int) {
+	ParallelFor(workers, workers, func(_, w int) {
 		c := list[bounds[w]:bounds[w+1]]
 		sort.Slice(c, func(x, y int) bool { return entryLess(c[x], c[y]) })
 	})
@@ -432,12 +438,12 @@ func SortEntries(list []Entry, workers int) {
 	for c := range chunks {
 		cuts[workers][c] = len(chunks[c])
 	}
-	ParallelFor(workers, workers-1, func(r int) {
+	ParallelFor(workers, workers-1, func(_, r int) {
 		cuts[r+1] = splitAtRank(chunks, (r+1)*len(list)/workers)
 	})
 
 	dst := make([]Entry, len(list))
-	ParallelFor(workers, workers, func(w int) {
+	ParallelFor(workers, workers, func(_, w int) {
 		kWayMerge(chunks, cuts[w], cuts[w+1], dst[w*len(list)/workers:(w+1)*len(list)/workers])
 	})
 	copy(list, dst)
@@ -532,7 +538,7 @@ func (s *Searcher) BuildEntries(lb func(i, j int) float64, workers int) []Entry 
 		offs[i+1] = offs[i] + cnt
 	}
 	list := make([]Entry, offs[iMax+1])
-	ParallelFor(workers, iMax+1, func(i int) {
+	ParallelFor(workers, iMax+1, func(_, i int) {
 		lo, hi := s.p.jRange(i)
 		out := list[offs[i]:offs[i+1]]
 		for j := lo; j <= hi; j++ {

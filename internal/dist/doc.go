@@ -38,10 +38,13 @@
 // # The canonical DFD kernel
 //
 // This package is the single source of truth for the discrete Fréchet
-// recurrence: the one row-relaxation loop in kernel.go (fused with the
-// ground-distance evaluation, two rolling rows, O(min(n,m)) space — the
-// §5.5 "Idea ii" layout) backs every DFD computation in the repository.
-// Its entry points are
+// recurrence: the row-relaxation loop in kernel.go (two rolling rows,
+// O(min(n,m)) space — the §5.5 "Idea ii" layout) backs every DFD
+// computation in the repository. It is written twice there: as relaxRow,
+// generic over the ground-distance source so the point-pair kernels fuse
+// the distance evaluation into the loop, and as DFDRelaxRow, over a
+// ground row already in memory (a matrix or level row). Its entry points
+// are
 //
 //   - DFD — the exact distance;
 //   - DFDCapped — early-abandoning exact verification: stops as soon as a
@@ -52,9 +55,9 @@
 //   - DFDFromGrid / DFDFromGridCapped — the same kernels over a
 //     precomputed ground-distance grid or a sub-window of one, without
 //     copying the window out of the shared matrix;
-//   - DFDBoundaryRow / DFDRelaxRow — the row primitives from which
-//     internal/core and internal/group compose their shared
-//     candidate-subset sweeps and interval (dminG/dmaxG) DPs.
+//   - DFDBoundaryRow / DFDRelaxRow — the slice-row primitives from which
+//     internal/core and internal/group compose their candidate-subset
+//     sweeps and interval (dminG/dmaxG) DPs over materialized rows.
 //
 // No other package carries a Fréchet recurrence; internal/join,
 // internal/knn, internal/core, internal/group and internal/bounds all

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"trajmotif/internal/dist"
+	"trajmotif/internal/dmatrix"
 	"trajmotif/internal/geo"
 )
 
@@ -98,5 +99,40 @@ func FuzzDFDKernel(f *testing.F) {
 				t.Fatalf("DFDMatrix corner = %g, DFD = %g", got, d)
 			}
 		}
+
+		// The slice-row primitives swept over matrix rows equal the
+		// grid-windowed kernel bit for bit, on the full grid and on the
+		// window starting at the middle cell.
+		if len(a) > 0 && len(b) > 0 {
+			g := dmatrix.ComputeCross(a, b, geo.Euclidean)
+			for _, w := range [][2]int{{0, 0}, {len(a) / 2, len(b) / 2}} {
+				i0, j0 := w[0], w[1]
+				want, _ := dist.DFDFromGridCapped(g, i0, len(a)-1, j0, len(b)-1, math.Inf(1))
+				if got := sliceSweep(g, i0, j0); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("slice rows from (%d, %d) = %g, DFDFromGridCapped = %g", i0, j0, got, want)
+				}
+			}
+		}
 	})
+}
+
+// sliceSweep composes DFDBoundaryRow and DFDRelaxRow over the rows of g
+// from cell (i0, j0) to the far corner, as internal/core's subset sweep
+// does, and returns the corner value.
+func sliceSweep(g *dmatrix.Matrix, i0, j0 int) float64 {
+	n, m := g.Dims()
+	prev := make([]float64, m-j0)
+	cur := make([]float64, m-j0)
+	dist.DFDBoundaryRow(g.Row(i0)[j0:], prev)
+	colMax := prev[0]
+	for i := i0 + 1; i < n; i++ {
+		ground := g.Row(i)[j0:]
+		if ground[0] > colMax {
+			colMax = ground[0]
+		}
+		cur[0] = colMax
+		dist.DFDRelaxRow(ground, prev, cur)
+		prev, cur = cur, prev
+	}
+	return prev[m-j0-1]
 }

@@ -2,11 +2,16 @@ package dist
 
 // This file is the canonical discrete Fréchet kernel: every DFD dynamic
 // program in the repository — exact, early-abandoning (capped), decision,
-// and grid-windowed — reduces to the two row primitives below, written
-// once and instantiated generically. internal/join, internal/knn,
-// internal/core and internal/group all route through these entry points;
-// no other package carries its own Fréchet recurrence, so an optimization
-// here speeds every caller (ROADMAP: "Unify and optimize the DFD kernel").
+// and grid-windowed — reduces to the row recurrence below, which lives in
+// two places: relaxRow, instantiated generically so that DFDCapped and
+// DFDFromGridCapped fuse the ground-distance evaluation into the loop
+// (decision is its boolean twin), and DFDRelaxRow, the same loop over a
+// ground row already in memory, which internal/core's subset sweep and
+// internal/group's interval DP run over matrix and level rows.
+// internal/join, internal/knn, internal/core and internal/group all route
+// through these entry points; no other package carries its own Fréchet
+// recurrence, so an optimization here speeds every caller (ROADMAP:
+// "Unify and optimize the DFD kernel").
 //
 // The recurrence (Eiter & Mannila 1994) over a ground-distance source g is
 //
@@ -321,20 +326,51 @@ func DFDFromGridCapped(g Grid, i0, i1, j0, j1 int, cap float64) (d float64, exce
 	return windowCapped[Grid](g, i0, i1, j0, j1, cap)
 }
 
-// DFDBoundaryRow exposes the kernel's first-row primitive: it fills
-// dp[0..j1-j0] with the running maximum of grid row i0 over columns
-// j0..j1, the DP boundary dF[i0][j0..j1]. internal/core and
-// internal/group build their shared candidate-subset sweeps from this and
-// DFDRelaxRow instead of carrying their own recurrences.
-func DFDBoundaryRow(g Grid, i0, j0, j1 int, dp []float64) {
-	boundaryRow[Grid](g, i0, j0, j1, dp)
+// DFDBoundaryRow is the first-row primitive over a ground row already
+// in memory: ground holds dG(i0, j0..j1), and dp[0..len(ground)-1]
+// receives its running maximum, the DP boundary dF[i0][j0..j1].
+// internal/core and internal/group build their candidate-subset sweeps
+// and interval DPs from this and DFDRelaxRow over materialized grid and
+// level rows instead of carrying their own recurrences.
+func DFDBoundaryRow(ground, dp []float64) {
+	dp = dp[:len(ground)]
+	run := math.Inf(-1)
+	for k, d := range ground {
+		if d > run {
+			run = d
+		}
+		dp[k] = run
+	}
 }
 
-// DFDRelaxRow exposes the kernel's row-advance primitive: given the
-// previous DP row in prev and this row's boundary value dF[ie][j0] already
-// stored in cur[0], it fills cur[1..j1-j0] by the recurrence and returns
-// the row minimum — a lower bound on every cell of all later rows, which
-// callers compare against a best-so-far bound to abandon early.
-func DFDRelaxRow(g Grid, ie, j0, j1 int, prev, cur []float64) (rowMin float64) {
-	return relaxRow[Grid](g, ie, j0, j1, prev, cur)
+// DFDRelaxRow is relaxRow over a ground row already in memory: ground
+// holds dG(ie, j0..j1), prev the previous DP row, and cur[0] this row's
+// boundary value dF[ie][j0] (ground[0] is not read). It fills
+// cur[1..len(ground)-1] by the recurrence and returns the row minimum — a
+// lower bound on every cell of all later rows, which callers compare
+// against a best-so-far bound to abandon early.
+func DFDRelaxRow(ground, prev, cur []float64) (rowMin float64) {
+	prev = prev[:len(ground)]
+	cur = cur[:len(ground)]
+	left := cur[0]
+	rowMin = left
+	for k := 1; k < len(ground); k++ {
+		reach := prev[k]
+		if v := prev[k-1]; v < reach {
+			reach = v
+		}
+		if left < reach {
+			reach = left
+		}
+		v := ground[k]
+		if reach > v {
+			v = reach
+		}
+		cur[k] = v
+		left = v
+		if v < rowMin {
+			rowMin = v
+		}
+	}
+	return rowMin
 }

@@ -160,14 +160,14 @@ func TestDFDRowPrimitivesCompose(t *testing.T) {
 		want := dist.DFD(a, b, geo.Euclidean)
 		prev := make([]float64, m)
 		cur := make([]float64, m)
-		dist.DFDBoundaryRow(g, 0, 0, m-1, prev)
+		dist.DFDBoundaryRow(g.Row(0), prev)
 		colMax := prev[0]
 		for i := 1; i < n; i++ {
 			if d := g.At(i, 0); d > colMax {
 				colMax = d
 			}
 			cur[0] = colMax
-			rowMin := dist.DFDRelaxRow(g, i, 0, m-1, prev, cur)
+			rowMin := dist.DFDRelaxRow(g.Row(i), prev, cur)
 			if rowMin > want+1e-12 {
 				t.Fatalf("row %d minimum %g exceeds final DFD %g", i, rowMin, want)
 			}

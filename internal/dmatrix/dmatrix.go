@@ -149,6 +149,26 @@ func (m *Matrix) At(i, j int) float64 { return m.vals[i*m.m+j] }
 // Dims returns the grid dimensions.
 func (m *Matrix) Dims() (int, int) { return m.n, m.m }
 
+// Row returns row i of the grid, dG(i, 0..m-1). It aliases the matrix
+// storage, so callers must treat it as read-only.
+func (m *Matrix) Row(i int) []float64 { return m.vals[i*m.m : (i+1)*m.m : (i+1)*m.m] }
+
+// RowRange returns dG(i, j0..j1) of g as a slice. A *Matrix answers with
+// an alias of its storage (read-only, like Row); any other grid — GTM*'s
+// on-the-fly Fly — fills scratch, which must hold j1-j0+1 values, through
+// At and returns it. Row-sweeping DPs read grids through this so the
+// materialized case pays no per-cell interface call.
+func RowRange(g Grid, i, j0, j1 int, scratch []float64) []float64 {
+	if m, ok := g.(*Matrix); ok {
+		return m.Row(i)[j0 : j1+1]
+	}
+	row := scratch[:j1-j0+1]
+	for k := range row {
+		row[k] = g.At(i, j0+k)
+	}
+	return row
+}
+
 // Bytes returns the memory footprint of the value storage, used by the
 // space-consumption experiment (Figure 19) and the store's byte budget.
 func (m *Matrix) Bytes() int64 { return int64(len(m.vals)) * 8 }

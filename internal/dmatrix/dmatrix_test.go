@@ -113,3 +113,36 @@ func TestGridsFeedKernel(t *testing.T) {
 		}
 	}
 }
+
+// TestRowRangeMatrixFly: RowRange returns the same values for a Matrix
+// (an alias of its storage) and a Fly (filled through At) over every
+// window of every row, haversine and Euclidean, and a Matrix row aliases
+// rather than copies.
+func TestRowRangeMatrixFly(t *testing.T) {
+	a := pts(116.30, 39.98, 116.31, 39.99, 116.33, 39.97, 116.32, 40.01, 116.35, 40.00)
+	b := pts(116.29, 39.96, 116.34, 39.98, 116.36, 40.02, 116.31, 39.95)
+	for _, df := range []geo.DistanceFunc{geo.Haversine, geo.Euclidean} {
+		m := ComputeCross(a, b, df)
+		f := NewFlyCross(a, b, df)
+		scratch := make([]float64, len(b))
+		for i := range a {
+			for j0 := range b {
+				for j1 := j0; j1 < len(b); j1++ {
+					want := RowRange(m, i, j0, j1, nil)
+					got := RowRange(f, i, j0, j1, scratch)
+					if len(got) != j1-j0+1 || len(want) != len(got) {
+						t.Fatalf("row %d [%d, %d]: lengths %d (Matrix) and %d (Fly)", i, j0, j1, len(want), len(got))
+					}
+					for k := range got {
+						if math.Float64bits(got[k]) != math.Float64bits(want[k]) || want[k] != m.At(i, j0+k) {
+							t.Fatalf("row %d col %d: Fly %v, Matrix row %v, At %v", i, j0+k, got[k], want[k], m.At(i, j0+k))
+						}
+					}
+				}
+			}
+		}
+		if &m.Row(2)[1] != &RowRange(m, 2, 1, 3, nil)[0] {
+			t.Error("RowRange copied a Matrix row instead of aliasing it")
+		}
+	}
+}

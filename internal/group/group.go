@@ -25,8 +25,10 @@
 package group
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -54,41 +56,88 @@ func BuildLevel(g dmatrix.Grid, tau int) *Level {
 	return buildLevel(g, tau, 1)
 }
 
-// buildLevel is BuildLevel with the scan sharded by group row: each
-// worker owns a disjoint band of tau point rows, so the folds race on
-// nothing, and min/max folding makes the result bit-identical for every
-// worker count.
-func buildLevel(g dmatrix.Grid, tau, workers int) *Level {
-	n, m := g.Dims()
-	lv := &Level{
-		Tau: tau,
-		NA:  (n + tau - 1) / tau,
-		NB:  (m + tau - 1) / tau,
-	}
-	lv.dmin = make([]float64, lv.NA*lv.NB)
-	lv.dmax = make([]float64, lv.NA*lv.NB)
+// newLevel allocates an na×nb level with every min at +Inf and every max
+// at -Inf, the identities of the folds that fill it.
+func newLevel(tau, na, nb int) *Level {
+	lv := &Level{Tau: tau, NA: na, NB: nb, dmin: make([]float64, na*nb), dmax: make([]float64, na*nb)}
 	for k := range lv.dmin {
 		lv.dmin[k] = math.Inf(1)
 		lv.dmax[k] = math.Inf(-1)
 	}
-	core.ParallelFor(workers, lv.NA, func(gi int) {
-		row := lv.dmin[gi*lv.NB : (gi+1)*lv.NB]
-		rowMax := lv.dmax[gi*lv.NB : (gi+1)*lv.NB]
-		iHi := min((gi+1)*tau, n)
-		for i := gi * tau; i < iHi; i++ {
-			for j := 0; j < m; j++ {
-				d := g.At(i, j)
-				gj := j / tau
-				if d < row[gj] {
-					row[gj] = d
+	return lv
+}
+
+// buildLevel is BuildLevel with the scan sharded by group row: each
+// worker owns a disjoint band of tau point rows, so the folds race on
+// nothing, and min/max folding makes the result bit-identical for every
+// worker count. Rows are read through dmatrix.RowRange, so a Matrix is
+// scanned over its storage and a Fly fills one scratch row per worker.
+func buildLevel(g dmatrix.Grid, tau, workers int) *Level {
+	n, m := g.Dims()
+	lv := newLevel(tau, (n+tau-1)/tau, (m+tau-1)/tau)
+	scratch := make([][]float64, max(workers, 1))
+	core.ParallelFor(workers, lv.NA, func(w, gi int) {
+		if scratch[w] == nil {
+			scratch[w] = make([]float64, m)
+		}
+		dmin := lv.dmin[gi*lv.NB : (gi+1)*lv.NB]
+		dmax := lv.dmax[gi*lv.NB : (gi+1)*lv.NB]
+		for i := gi * tau; i < min((gi+1)*tau, n); i++ {
+			row := dmatrix.RowRange(g, i, 0, m-1, scratch[w])
+			for gj := range dmin {
+				lo, hi := dmin[gj], dmax[gj]
+				for _, d := range row[gj*tau : min((gj+1)*tau, m)] {
+					if d < lo {
+						lo = d
+					}
+					if d > hi {
+						hi = d
+					}
 				}
-				if d > rowMax[gj] {
-					rowMax[gj] = d
+				dmin[gj], dmax[gj] = lo, hi
+			}
+		}
+	})
+	return lv
+}
+
+// foldLevel builds level 2τ from level τ. Group u at 2τ holds points
+// [2uτ, 2uτ+2τ), which are exactly groups 2u and 2u+1 at τ — the second
+// short or absent when the trajectory ends inside the pair, in which case
+// the coarse group is short by the same points. Each coarse min/max is
+// therefore the min/max of the same ground distances a direct scan would
+// fold, taken over up to four fine pairs, and bit-identical to it.
+func foldLevel(f *Level, workers int) *Level {
+	lv := newLevel(2*f.Tau, (f.NA+1)/2, (f.NB+1)/2)
+	core.ParallelFor(workers, lv.NA, func(_, u int) {
+		dmin := lv.dmin[u*lv.NB : (u+1)*lv.NB]
+		dmax := lv.dmax[u*lv.NB : (u+1)*lv.NB]
+		for fu := 2 * u; fu < min(2*u+2, f.NA); fu++ {
+			fmax := f.dmax[fu*f.NB : (fu+1)*f.NB]
+			for fv, d := range f.dmin[fu*f.NB : (fu+1)*f.NB] {
+				if d < dmin[fv>>1] {
+					dmin[fv>>1] = d
+				}
+				if d := fmax[fv]; d > dmax[fv>>1] {
+					dmax[fv>>1] = d
 				}
 			}
 		}
 	})
 	return lv
+}
+
+// pyramid returns GTM's levels τ, τ/2, …, 2 — coarse first, the order
+// Algorithm 3 consumes them — from one grid scan at τ = 2 and a 2×2 fold
+// per coarser level. tau must be a power of two of at least 2.
+func pyramid(g dmatrix.Grid, tau, workers int) []*Level {
+	levels := []*Level{buildLevel(g, 2, workers)}
+	for lv := levels[0]; lv.Tau < tau; {
+		lv = foldLevel(lv, workers)
+		levels = append(levels, lv)
+	}
+	slices.Reverse(levels)
+	return levels
 }
 
 // Dmin returns dminG(g_u, g_v).
@@ -108,48 +157,47 @@ type minGrid struct{ lv *Level }
 func (g minGrid) At(u, v int) float64 { return g.lv.Dmin(u, v) }
 func (g minGrid) Dims() (int, int)    { return g.lv.NA, g.lv.NB }
 
-// maxGrid is the Dmax counterpart, feeding the interval DFD's upper
-// recurrence through the same canonical kernel rows as the lower one.
-type maxGrid struct{ lv *Level }
-
-func (g maxGrid) At(u, v int) float64 { return g.lv.Dmax(u, v) }
-func (g maxGrid) Dims() (int, int)    { return g.lv.NA, g.lv.NB }
-
 // DFDBounds computes GLB_DFD(u, v) and GUB_DFD(u, v) (Eqs. 19-20) by the
 // interval DFD dynamic program of Definition 5 — two runs of the canonical
-// kernel's row recurrence, one over the dminG grid and one over dmaxG —
-// with the early-termination rule of §5.3: once the minimum over the DP
-// frontier row can no longer improve either bound, the computation stops.
+// kernel's row recurrence over the level's rows, one over dminG and one
+// over dmaxG — with the early-termination rule of §5.3: once the minimum
+// over the DP frontier row can no longer improve either bound, the
+// computation stops. cells counts the interval-DP cells filled (each
+// holds a dFmin/dFmax pair).
 //
 // glb lower-bounds the DFD of every candidate rooted in (g_u, g_v)
 // (subject to the minimum length ξ); gub, when finite, is the exact-DFD
 // upper bound of a concrete feasible full-group pair and may therefore be
 // used to tighten bsf. nPoints/mPoints are the underlying trajectory
 // lengths, needed to honor length and overlap constraints on partial last
-// groups.
-func (lv *Level) DFDBounds(u, v, xi int, self bool, nPoints, mPoints int) (glb, gub float64) {
+// groups. scratch holds the four DP rows when it has room for 4·(NB−v)
+// values; otherwise they are allocated.
+func (lv *Level) DFDBounds(u, v, xi int, self bool, nPoints, mPoints int, scratch []float64) (glb, gub float64, cells int64) {
 	gxi := (xi + 1) / lv.Tau
 	ueHi := lv.NA - 1
 	if self && v < ueHi {
 		ueHi = v // the first leg ends before the second starts (ie < j)
 	}
-	veHi := lv.NB - 1
 
 	glb, gub = math.Inf(1), math.Inf(1)
-	width := veHi - v + 1
-	prevMin := make([]float64, width)
-	curMin := make([]float64, width)
-	prevMax := make([]float64, width)
-	curMax := make([]float64, width)
+	width := lv.NB - v
+	if len(scratch) < 4*width {
+		scratch = make([]float64, 4*width)
+	}
+	prevMin, curMin := scratch[:width], scratch[width:2*width]
+	prevMax, curMax := scratch[2*width:3*width], scratch[3*width:4*width]
+	// Level rows ue over columns v..NB-1.
+	minRow := func(ue int) []float64 { return lv.dmin[ue*lv.NB+v : (ue+1)*lv.NB] }
+	maxRow := func(ue int) []float64 { return lv.dmax[ue*lv.NB+v : (ue+1)*lv.NB] }
 
 	// endIdx is the last point index of group x (last group may be short).
 	endA := func(x int) int { return min((x+1)*lv.Tau-1, nPoints-1) }
 	endB := func(x int) int { return min((x+1)*lv.Tau-1, mPoints-1) }
 
 	// Boundary row ue = u: running max along ve.
-	gmin, gmax := minGrid{lv}, maxGrid{lv}
-	dist.DFDBoundaryRow(gmin, u, v, veHi, prevMin)
-	dist.DFDBoundaryRow(gmax, u, v, veHi, prevMax)
+	dist.DFDBoundaryRow(minRow(u), prevMin)
+	dist.DFDBoundaryRow(maxRow(u), prevMax)
+	cells = int64(width)
 	consider := func(ue, ve int, fmin, fmax float64) {
 		if ue-u >= gxi && ve-v >= gxi && fmin < glb {
 			glb = fmin
@@ -163,19 +211,21 @@ func (lv *Level) DFDBounds(u, v, xi int, self bool, nPoints, mPoints int) (glb, 
 			gub = fmax
 		}
 	}
-	for ve := v; ve <= veHi; ve++ {
-		consider(u, ve, prevMin[ve-v], prevMax[ve-v])
+	for k := range width {
+		consider(u, v+k, prevMin[k], prevMax[k])
 	}
 
 	colMin, colMax := prevMin[0], prevMax[0]
 	for ue := u + 1; ue <= ueHi; ue++ {
-		colMin = math.Max(colMin, lv.Dmin(ue, v))
-		colMax = math.Max(colMax, lv.Dmax(ue, v))
+		rowMin, rowMax := minRow(ue), maxRow(ue)
+		colMin = math.Max(colMin, rowMin[0])
+		colMax = math.Max(colMax, rowMax[0])
 		curMin[0], curMax[0] = colMin, colMax
-		frontier := dist.DFDRelaxRow(gmin, ue, v, veHi, prevMin, curMin)
-		frontierMax := dist.DFDRelaxRow(gmax, ue, v, veHi, prevMax, curMax)
-		for ve := v; ve <= veHi; ve++ {
-			consider(ue, ve, curMin[ve-v], curMax[ve-v])
+		frontier := dist.DFDRelaxRow(rowMin, prevMin, curMin)
+		frontierMax := dist.DFDRelaxRow(rowMax, prevMax, curMax)
+		cells += int64(width)
+		for k := range width {
+			consider(ue, v+k, curMin[k], curMax[k])
 		}
 		// Early termination: every later cell is at least the minimum of
 		// this completed row (the kernel's row-crossing argument), so once
@@ -186,7 +236,7 @@ func (lv *Level) DFDBounds(u, v, xi int, self bool, nPoints, mPoints int) (glb, 
 		prevMin, curMin = curMin, prevMin
 		prevMax, curMax = curMax, prevMax
 	}
-	return glb, gub
+	return glb, gub, cells
 }
 
 // pair is a candidate group pair with its pattern-bound LB.
@@ -209,6 +259,10 @@ type Stats struct {
 	BsfTightenings int64
 	// PointCells that survived to the final point-level phase.
 	PointCells int64
+	// IntervalCells counts the interval-DFD cells (dFmin/dFmax pairs)
+	// filled by the DFDBounds evaluations the canonical replay consumes,
+	// so it is the same at every worker count.
+	IntervalCells int64
 }
 
 // Result bundles the motif with grouping statistics.
@@ -293,21 +347,28 @@ func gtm(a, b []geo.Point, xi, tau int, self bool, opt *core.Options, star bool)
 	st.GridRebuildsAvoided = int64(reused)
 	st.PeakBytes = gridBytes + rbPoint.Bytes()
 
-	// survivors tracks surviving group pairs at the current τ; nil means
-	// "level not yet run" (enumerate everything feasible).
-	var survivors []pair
-	firstLevel := true
+	// levels lists the grouping levels coarse to fine: GTM's whole
+	// pyramid τ, τ/2, …, 2, or GTM*'s single pass at τ (§5.5, Idea iii),
+	// scanned directly from its on-the-fly grid.
+	var levels []*Level
+	switch {
+	case tau < 2:
+	case star:
+		levels = []*Level{buildLevel(grid, tau, workers)}
+	default:
+		levels = pyramid(grid, tau, workers)
+	}
 
-	for level := tau; level >= 2; level /= 2 {
-		lv := buildLevel(grid, level, workers)
-		grb := bounds.NewRelaxed(minGrid{lv}, bounds.GroupParams(xi, level, self))
+	// survivors tracks surviving group pairs at the current τ.
+	var survivors []pair
+	for li, lv := range levels {
+		grb := bounds.NewRelaxed(minGrid{lv}, bounds.GroupParams(xi, lv.Tau, self))
 		st.PeakBytes += lv.Bytes() + grb.Bytes()
 		gst.Levels++
 
 		var cand []pair
-		if firstLevel {
+		if li == 0 {
 			cand = enumerateFeasible(lv, s)
-			firstLevel = false
 		} else {
 			cand = childPairs(survivors, lv, s)
 		}
@@ -315,32 +376,24 @@ func gtm(a, b []geo.Point, xi, tau int, self bool, opt *core.Options, star bool)
 			u, v := int(cand[k].u), int(cand[k].v)
 			cand[k].lb = grb.SubsetLB(lv.Dmin(u, v), u, v)
 		}
-		sort.Slice(cand, func(x, y int) bool {
-			if cand[x].lb != cand[y].lb {
-				return cand[x].lb < cand[y].lb
+		slices.SortFunc(cand, func(x, y pair) int {
+			if c := cmp.Compare(x.lb, y.lb); c != 0 {
+				return c
 			}
-			if cand[x].u != cand[y].u {
-				return cand[x].u < cand[y].u
+			if c := cmp.Compare(x.u, y.u); c != 0 {
+				return c
 			}
-			return cand[x].v < cand[y].v
+			return cmp.Compare(x.v, y.v)
 		})
 
 		gst.GroupPairs += int64(len(cand))
 		survivors = refineLevel(s, lv, cand, survivors[:0], &gst, xi, self, n, m)
-
-		if star {
-			break // GTM* executes the grouping loop once (§5.5, Idea iii)
-		}
 	}
 
 	// Expand surviving group pairs to point-level candidate subsets. When
 	// grouping never ran (tau == 1), fall back to every feasible cell.
 	var cells []core.Entry
-	lastTau := 2
-	if star {
-		lastTau = tau
-	}
-	if firstLevel {
+	if len(levels) == 0 {
 		// No grouping level executed (tau == 1): enumerate all subsets.
 		for i := 0; i <= s.IMax(); i++ {
 			lo, hi := s.JRange(i)
@@ -351,6 +404,7 @@ func gtm(a, b []geo.Point, xi, tau int, self bool, opt *core.Options, star bool)
 	} else {
 		// Distinct surviving pairs cover disjoint (i, j) regions, so no
 		// dedup is needed when expanding to point cells.
+		lastTau := levels[len(levels)-1].Tau
 		for _, pr := range survivors {
 			iLo, iHi := int(pr.u)*lastTau, min((int(pr.u)+1)*lastTau-1, n-1)
 			for i := iLo; i <= iHi && i <= s.IMax(); i++ {
@@ -396,8 +450,16 @@ const pairBlock = 64
 // live bound, so the outcome, including every counter, is exactly the
 // sequential algorithm's for any worker count.
 func refineLevel(s *core.Searcher, lv *Level, cand, next []pair, gst *Stats, xi int, self bool, n, m int) []pair {
-	type pairBounds struct{ glb, gub float64 }
+	type pairBounds struct {
+		glb, gub float64
+		cells    int64
+	}
 	workers := s.Workers()
+	// One buffer of four DP rows per worker, reused across pairs.
+	scratch := make([][]float64, max(workers, 1))
+	for w := range scratch {
+		scratch[w] = make([]float64, 4*lv.NB)
+	}
 	for base := 0; base < len(cand); base += pairBlock {
 		hi := min(base+pairBlock, len(cand))
 		block := cand[base:hi]
@@ -411,8 +473,9 @@ func refineLevel(s *core.Searcher, lv *Level, cand, next []pair, gst *Stats, xi 
 		// it then computes inline.
 		cut := sort.Search(len(block), func(k int) bool { return snap.Prunable(block[k].lb) })
 		bnds := make([]pairBounds, cut)
-		core.ParallelFor(workers, cut, func(k int) {
-			bnds[k].glb, bnds[k].gub = lv.DFDBounds(int(block[k].u), int(block[k].v), xi, self, n, m)
+		core.ParallelFor(workers, cut, func(w, k int) {
+			b := &bnds[k]
+			b.glb, b.gub, b.cells = lv.DFDBounds(int(block[k].u), int(block[k].v), xi, self, n, m, scratch[w])
 		})
 
 		// Replay Algorithm 3's bookkeeping in canonical order.
@@ -421,17 +484,18 @@ func refineLevel(s *core.Searcher, lv *Level, cand, next []pair, gst *Stats, xi 
 				gst.GroupPairsPruned += int64(len(cand) - (base + k))
 				return next
 			}
-			var glb, gub float64
+			var b pairBounds
 			if k < cut {
-				glb, gub = bnds[k].glb, bnds[k].gub
+				b = bnds[k]
 			} else {
-				glb, gub = lv.DFDBounds(int(pr.u), int(pr.v), xi, self, n, m)
+				b.glb, b.gub, b.cells = lv.DFDBounds(int(pr.u), int(pr.v), xi, self, n, m, scratch[0])
 			}
-			if !math.IsInf(gub, 1) && gub < s.Bsf() {
-				s.TightenBsf(gub)
+			gst.IntervalCells += b.cells
+			if !math.IsInf(b.gub, 1) && b.gub < s.Bsf() {
+				s.TightenBsf(b.gub)
 				gst.BsfTightenings++
 			}
-			if s.Prunable(glb) {
+			if s.Prunable(b.glb) {
 				gst.GroupPairsPruned++
 				continue
 			}
@@ -461,9 +525,10 @@ func enumerateFeasible(lv *Level, s *core.Searcher) []pair {
 
 // childPairs splits each surviving pair at size 2τ into its up-to-four
 // children at size τ, keeping those that still contain feasible starts.
+// Survivors are distinct and a child (u, v) has the one parent
+// (u/2, v/2), so the children are distinct too.
 func childPairs(parents []pair, lv *Level, s *core.Searcher) []pair {
 	var out []pair
-	seen := map[int64]bool{}
 	for _, p := range parents {
 		for du := 0; du < 2; du++ {
 			for dv := 0; dv < 2; dv++ {
@@ -479,11 +544,6 @@ func childPairs(parents []pair, lv *Level, s *core.Searcher) []pair {
 				if (v+1)*lv.Tau-1 < jLo || v*lv.Tau > jHi {
 					continue
 				}
-				key := int64(u)*int64(lv.NB) + int64(v)
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
 				out = append(out, pair{u: int32(u), v: int32(v)})
 			}
 		}

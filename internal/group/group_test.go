@@ -69,7 +69,7 @@ func TestDFDBoundsBracket(t *testing.T) {
 
 		for u := 0; u < lv.NA; u++ {
 			for v := u; v < lv.NB; v++ {
-				glb, gub := lv.DFDBounds(u, v, xi, true, n, n)
+				glb, gub, _ := lv.DFDBounds(u, v, xi, true, n, n, nil)
 				// Sample candidates rooted in this pair.
 				for k := 0; k < 5; k++ {
 					i := u*tau + r.Intn(tau)
@@ -111,7 +111,7 @@ func TestGUBIsAchievable(t *testing.T) {
 		lv := BuildLevel(g, tau)
 		for u := 0; u < lv.NA; u++ {
 			for v := u; v < lv.NB; v++ {
-				_, gub := lv.DFDBounds(u, v, xi, true, n, n)
+				_, gub, _ := lv.DFDBounds(u, v, xi, true, n, n, nil)
 				if math.IsInf(gub, 1) {
 					continue
 				}
@@ -296,5 +296,42 @@ func TestGroupPruningReducesWork(t *testing.T) {
 	if gt.Group.PointCells >= btm.Stats.Subsets {
 		t.Errorf("GTM point cells %d not reduced vs BTM subsets %d",
 			gt.Group.PointCells, btm.Stats.Subsets)
+	}
+}
+
+// TestLevelPyramidExact: every level the pyramid folds from its τ = 2
+// scan is bit-equal to a direct scan of the same grid at that τ, for
+// τ = 2 … 64, self and cross, with lengths that are not multiples of τ
+// and shorter than the coarsest τ, serial and parallel.
+func TestLevelPyramidExact(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	a, b := randTraj(r, 45).Points, randTraj(r, 23).Points
+	grids := map[string]dmatrix.Grid{
+		"self":      dmatrix.ComputeSelf(a, geo.Euclidean),
+		"cross":     dmatrix.ComputeCross(a, b, geo.Euclidean),
+		"cross/fly": dmatrix.NewFlyCross(b, a, geo.Euclidean),
+	}
+	for name, g := range grids {
+		for _, workers := range []int{1, 3} {
+			levels := pyramid(g, 64, workers)
+			if len(levels) != 6 {
+				t.Fatalf("%s: %d levels, want 6", name, len(levels))
+			}
+			for k, lv := range levels {
+				tau := 64 >> k
+				want := BuildLevel(g, tau)
+				if lv.Tau != tau || lv.NA != want.NA || lv.NB != want.NB {
+					t.Fatalf("%s level %d: tau %d, %dx%d groups; want tau %d, %dx%d",
+						name, k, lv.Tau, lv.NA, lv.NB, tau, want.NA, want.NB)
+				}
+				for c := range want.dmin {
+					if math.Float64bits(lv.dmin[c]) != math.Float64bits(want.dmin[c]) ||
+						math.Float64bits(lv.dmax[c]) != math.Float64bits(want.dmax[c]) {
+						t.Fatalf("%s tau %d (workers %d) pair %d: folded [%v, %v], scanned [%v, %v]",
+							name, tau, workers, c, lv.dmin[c], lv.dmax[c], want.dmin[c], want.dmax[c])
+					}
+				}
+			}
+		}
 	}
 }

@@ -165,7 +165,8 @@ func TestEarlyAbandonReducesDPCells(t *testing.T) {
 // workers = 2, 4, 8 must be byte-identical to workers = 1 — distance
 // bits, witness spans, AND every effort counter (only the wall-clock
 // durations are scrubbed before comparison). Any scheduling dependence
-// in pruning, abandoning, or witness merging fails loudly here.
+// in pruning, abandoning, or witness merging fails loudly here; the
+// grouping cases include the interval-DFD cell count.
 func TestParallelDeterminism(t *testing.T) {
 	tr := fixture(t, datagen.GeoLifeName, 200)
 	clipped := tr.Clip(120)
@@ -276,6 +277,11 @@ func TestParallelDeterminism(t *testing.T) {
 				t.Fatalf("workers=1: %v", err)
 			}
 			base = scrub(base)
+			// The grouping runs must exercise the interval-DFD counter,
+			// so the comparison below covers it.
+			if g, ok := base.(*Result); ok && g.Group.Levels > 0 && g.Group.IntervalCells == 0 {
+				t.Errorf("workers=1: %d grouping levels filled no interval-DFD cells", g.Group.Levels)
+			}
 			for _, w := range []int{2, 4, 8} {
 				got, err := c.run(w)
 				if err != nil {

@@ -60,7 +60,7 @@ func TestFigure12IntervalBracketing(t *testing.T) {
 	lv, g := exampleLevel()
 	n := 8
 	// Pair of subtrajectory groups G_{0,0} vs G_{3,3} (points 0-1 vs 6-7).
-	glb, gub := lv.DFDBounds(0, 3, 0, true, n, n)
+	glb, gub, _ := lv.DFDBounds(0, 3, 0, true, n, n, nil)
 
 	// The concrete pair S[0..1], S[6..7]: its DFD straight from the shared
 	// grid window via the canonical kernel.

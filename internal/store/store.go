@@ -403,10 +403,10 @@ func (s *Store) sweepLocked() {
 	}
 }
 
-// SweepExpired applies the TTL policy immediately (it otherwise runs on
+// sweepExpired applies the TTL policy immediately (it otherwise runs on
 // every registry access) and reports how many trajectories currently
-// remain — a hook for periodic janitors and tests.
-func (s *Store) SweepExpired() int {
+// remain.
+func (s *Store) sweepExpired() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.sweepLocked()
@@ -548,11 +548,11 @@ func (s *Store) IDs() []ID {
 // under.
 func (s *Store) Dist() geo.DistanceFunc { return s.df }
 
-// MBRFor returns the bounding box of a trajectory, from the registry's
+// mbrFor returns the bounding box of a trajectory, from the registry's
 // cache when id is registered, recomputed otherwise (trajectories are
 // immutable, so both are the identical spatial.Bound fold — a raced
 // Remove can only cost the recompute, never yield a different box).
-func (s *Store) MBRFor(id ID, t *traj.Trajectory) spatial.MBR {
+func (s *Store) mbrFor(id ID, t *traj.Trajectory) spatial.MBR {
 	s.mu.Lock()
 	mbr, ok := s.mbrs[id]
 	s.mu.Unlock()
@@ -582,11 +582,11 @@ func (s *Store) IndexFor(ids []ID, ts []*traj.Trajectory) *spatial.Index {
 	return ix
 }
 
-// SpatialCandidates lists the registered trajectories whose MBRs lie
+// spatialCandidates lists the registered trajectories whose MBRs lie
 // within radius of q under the store's ground distance (a sound superset:
 // MinDist lower-bounds every point-to-point distance), in insertion
 // order. Radius semantics follow spatial.Index.Candidates.
-func (s *Store) SpatialCandidates(q spatial.MBR, radius float64) []ID {
+func (s *Store) spatialCandidates(q spatial.MBR, radius float64) []ID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	hs := s.sindex.Candidates(q, radius)

@@ -130,7 +130,7 @@ func TestTrajectoryTTL(t *testing.T) {
 
 	// 31s more: B (idle 61s) expires, A (idle 31s) lives.
 	clk.Advance(31 * time.Second)
-	if n := s.SweepExpired(); n != 1 {
+	if n := s.sweepExpired(); n != 1 {
 		t.Fatalf("after sweep %d trajectories remain, want 1", n)
 	}
 	if _, ok := s.Get(idB); ok {

@@ -35,14 +35,14 @@ func TestSpatialMaintenance(t *testing.T) {
 			t.Fatalf("add %d: %v created=%v", i, err, created)
 		}
 		ids = append(ids, id)
-		if got := s.MBRFor(id, tr); got != spatial.Bound(tr.Points) {
-			t.Fatalf("MBRFor(%d) = %+v, want the Bound fold", i, got)
+		if got := s.mbrFor(id, tr); got != spatial.Bound(tr.Points) {
+			t.Fatalf("mbrFor(%d) = %+v, want the Bound fold", i, got)
 		}
 	}
 	if missing, stale := s.SpatialParity(); len(missing) != 0 || stale != 0 {
 		t.Fatalf("parity after adds: missing=%v stale=%d", missing, stale)
 	}
-	all := s.SpatialCandidates(spatial.MBR{MinLat: 40, MaxLat: 40, MinLng: -74, MaxLng: -74}, math.Inf(1))
+	all := s.spatialCandidates(spatial.MBR{MinLat: 40, MaxLat: 40, MinLng: -74, MaxLng: -74}, math.Inf(1))
 	want := s.IDs()
 	if len(all) != len(want) {
 		t.Fatalf("candidates %d of %d", len(all), len(want))
@@ -56,7 +56,7 @@ func TestSpatialMaintenance(t *testing.T) {
 	if !s.Remove(ids[3]) {
 		t.Fatal("remove failed")
 	}
-	for _, id := range s.SpatialCandidates(spatial.MBR{MinLat: 43, MaxLat: 43, MinLng: -71, MaxLng: -71}, math.Inf(1)) {
+	for _, id := range s.spatialCandidates(spatial.MBR{MinLat: 43, MaxLat: 43, MinLng: -71, MaxLng: -71}, math.Inf(1)) {
 		if id == ids[3] {
 			t.Fatal("removed id still a spatial candidate")
 		}
@@ -79,7 +79,7 @@ func TestSpatialMaintenance(t *testing.T) {
 }
 
 // TestSpatialMaintenanceRace is the churn regression at the store layer:
-// concurrent Add/Remove against SpatialCandidates, IndexFor and
+// concurrent Add/Remove against spatialCandidates, IndexFor and
 // SpatialParity under -race. The parity probe must never see a live
 // trajectory missing from the index or a dead entry lingering in it.
 func TestSpatialMaintenanceRace(t *testing.T) {
@@ -113,7 +113,7 @@ func TestSpatialMaintenanceRace(t *testing.T) {
 		defer wg.Done()
 		q := spatial.MBR{MinLat: 40, MaxLat: 52, MinLng: -74, MaxLng: -74}
 		for k := 0; k < churns; k++ {
-			for _, id := range s.SpatialCandidates(q, 1e6) {
+			for _, id := range s.spatialCandidates(q, 1e6) {
 				if _, ok := s.Get(id); !ok {
 					// A raced Remove between Candidates and Get is fine; a
 					// seed id vanishing is not (nothing removes them).
