@@ -201,7 +201,7 @@ func Join(ts []*traj.Trajectory, eps float64, opt *Options) ([]Pair, Stats, erro
 			return
 		}
 		// Filter 2: box probes in both directions.
-		if probeBound(a, boxes[j], df) > eps || probeBound(b, boxes[i], df) > eps {
+		if spatial.ProbeBound(a, boxes[j], df) > eps || spatial.ProbeBound(b, boxes[i], df) > eps {
 			st.BoxPruned++
 			return
 		}
@@ -256,18 +256,4 @@ func pairFrame(a, b spatial.MBR) geo.Frame {
 		math.Min(a.MinLat, b.MinLat), math.Max(a.MaxLat, b.MaxLat),
 		math.Min(a.MinLng, b.MinLng), math.Max(a.MaxLng, b.MaxLng),
 	)
-}
-
-// probeBound lower-bounds DFD(a, ·) for any trajectory inside bb: every
-// coupling matches each probed point of a to some point in bb, so the
-// max probe-to-box distance is a lower bound. Probes first, middle, last.
-func probeBound(a []geo.Point, bb spatial.MBR, df geo.DistanceFunc) float64 {
-	lb := 0.0
-	for _, idx := range [...]int{0, len(a) / 2, len(a) - 1} {
-		p := a[idx]
-		if d := df(p, bb.Clamp(p)); d > lb {
-			lb = d
-		}
-	}
-	return lb
 }

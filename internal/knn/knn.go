@@ -122,12 +122,12 @@ func Nearest(query *traj.Trajectory, dataset []*traj.Trajectory, k int, opt *Opt
 			lb = math.Max(
 				geo.HaversinePrepared(qFirst.P, p[0], qFirst.CosLat, geo.CosLat(p[0])),
 				geo.HaversinePrepared(qLast.P, p[len(p)-1], qLast.CosLat, geo.CosLat(p[len(p)-1])))
-			lb = math.Max(lb, probeBoundPrepared(qProbes[:], pBox))
+			lb = math.Max(lb, spatial.ProbeBoundPrepared(qProbes[:], pBox))
 		} else {
 			lb = math.Max(df(q[0], p[0]), df(q[len(q)-1], p[len(p)-1]))
-			lb = math.Max(lb, probeBound(q, pBox, df))
+			lb = math.Max(lb, spatial.ProbeBound(q, pBox, df))
 		}
-		return math.Max(lb, probeBound(p, qBox, df))
+		return math.Max(lb, spatial.ProbeBound(p, qBox, df))
 	}
 
 	// Max-heap of the best k neighbors found so far, ordered by
@@ -302,32 +302,4 @@ func (h *nbrHeap) Pop() any {
 	x := old[n-1]
 	*h = old[:n-1]
 	return x
-}
-
-// probeBoundPrepared is probeBound over pre-selected query probes with
-// hoisted cos(lat) factors; only the clamp point's factor is computed per
-// call. Bit-identical to probeBound on the same probes under haversine.
-func probeBoundPrepared(probes []geo.PreparedPoint, bb spatial.MBR) float64 {
-	lb := 0.0
-	for _, pp := range probes {
-		c := bb.Clamp(pp.P)
-		if d := geo.HaversinePrepared(pp.P, c, pp.CosLat, geo.CosLat(c)); d > lb {
-			lb = d
-		}
-	}
-	return lb
-}
-
-// probeBound lower-bounds DFD(a, ·) for any trajectory inside bb: every
-// coupling matches each probed point of a to some point in bb, so the
-// max probe-to-box distance is a lower bound. Probes first, middle, last.
-func probeBound(a []geo.Point, bb spatial.MBR, df geo.DistanceFunc) float64 {
-	lb := 0.0
-	for _, idx := range [...]int{0, len(a) / 2, len(a) - 1} {
-		p := a[idx]
-		if d := df(p, bb.Clamp(p)); d > lb {
-			lb = d
-		}
-	}
-	return lb
 }

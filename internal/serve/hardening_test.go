@@ -156,7 +156,7 @@ func TestSemaphoreOverflow429(t *testing.T) {
 	var m motifResponse
 	call(t, ts, "POST", "/discover", discoverRequest{ID: id, Xi: 8}, &m, http.StatusOK)
 
-	var st serverStats
+	var st statsBody
 	call(t, ts, "GET", "/stats", nil, &st, http.StatusOK)
 	if st.Rejected != 1 {
 		t.Errorf("stats.rejected = %d, want 1", st.Rejected)
@@ -396,7 +396,7 @@ func TestServeAutoEviction(t *testing.T) {
 		}
 	}
 
-	var stats serverStats
+	var stats statsBody
 	call(t, ts, "GET", "/stats", nil, &stats, http.StatusOK)
 	if stats.Trajectories != 3 || stats.EvictedLRU != 1 {
 		t.Errorf("stats: trajectories=%d evictedLRU=%d, want 3/1", stats.Trajectories, stats.EvictedLRU)
@@ -487,10 +487,8 @@ func TestKNNDefaultDuringAutoEviction(t *testing.T) {
 		t.Error("no knn request ever found its query — churn never overlapped")
 	}
 
-	if missing, stale := func() ([]store.ID, int) { return srv.Store().SpatialParity() }(); len(missing) != 0 || stale != 0 {
-		t.Errorf("spatial parity after eviction churn: missing=%v stale=%d", missing, stale)
-	}
-	if n := srv.Store().Len(); n > 3 {
+	checkIndexBoxes(t, srv.Backend())
+	if n := srv.Backend().Len(); n > 3 {
 		t.Errorf("registry grew to %d past the cap", n)
 	}
 }
@@ -507,7 +505,7 @@ func TestServeTTLEviction(t *testing.T) {
 	time.Sleep(60 * time.Millisecond)
 	call(t, ts, "POST", "/discover", discoverRequest{ID: id, Xi: 6}, nil, http.StatusNotFound)
 
-	var stats serverStats
+	var stats statsBody
 	call(t, ts, "GET", "/stats", nil, &stats, http.StatusOK)
 	if stats.Trajectories != 0 || stats.EvictedTTL != 1 {
 		t.Errorf("stats after TTL expiry: trajectories=%d evictedTTL=%d, want 0/1",

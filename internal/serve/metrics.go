@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -8,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"trajmotif/internal/store"
 )
 
 // latencyBuckets are the request-duration histogram upper bounds in
@@ -17,8 +20,8 @@ var latencyBuckets = [...]float64{0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10}
 
 // metrics is the server's dependency-free Prometheus-text registry:
 // per-endpoint request counters (by status code) and latency
-// histograms, plus the in-flight gauge. Store/cache/index/eviction and
-// admission counters are read live at scrape time, not duplicated here.
+// histograms, plus the in-flight gauge. Every other series is a statRows
+// row, read live at scrape time.
 type metrics struct {
 	mu        sync.Mutex
 	endpoints map[string]*endpointMetrics
@@ -45,6 +48,12 @@ func (m *metrics) requestStarted() {
 	m.mu.Unlock()
 }
 
+func (m *metrics) inFlightNow() int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.inFlight
+}
+
 func (m *metrics) requestDone(endpoint string, code int, d time.Duration) {
 	secs := d.Seconds()
 	m.mu.Lock()
@@ -65,41 +74,138 @@ func (m *metrics) requestDone(endpoint string, code int, d time.Duration) {
 	}
 }
 
-// liveCounters is everything /metrics reads at scrape time beyond the
-// per-request accounting: the store snapshot and admission state.
-type liveCounters struct {
-	trajectories     int
-	maxTrajectories  int
-	trajectoryTTL    float64 // seconds; 0 = disabled
-	artifacts        int
-	cacheBytes       int64
-	cacheBudget      int64
-	built            int64
-	reused           int64
-	artifactEvicted  int64
-	evictedManual    int64
-	evictedLRU       int64
-	evictedTTL       int64
-	pairDistsBuilt   int64
-	pairDistsReused  int64
-	diskArtifacts    int
-	diskBytes        int64
-	diskWrites       int64
-	diskReads        int64
-	diskErrors       int64
-	indexConsulted   int64
-	indexPruned      int64
-	admissionInUse   int64
-	admissionQueued  int
-	admissionReject  int64
-	uptimeSeconds    float64
-	workerCapacity   int64
-	admissionEnabled bool
+// statsSnapshot is one read of everything /stats and /metrics report
+// beyond the per-endpoint accounting: the backend's store snapshot plus
+// the server's own counters, uptime and admission state. Both endpoints
+// render it through statRows.
+type statsSnapshot struct {
+	store.Stats
+	requests, rejected          int64
+	indexConsulted, indexPruned int64
+	projectionFallbacks         int64
+	inFlight                    int64
+	uptime                      time.Duration // rounded to the millisecond
+	admission                   bool          // admission control enabled
+	capacity, inUse             int64
+	queued                      int
 }
 
-// render writes the Prometheus text exposition (version 0.0.4). Output
-// is deterministic: endpoints and status codes are sorted.
-func (m *metrics) render(w *strings.Builder, live liveCounters) {
+// statRow is one counter or gauge. json is its GET /stats key and series
+// its /metrics series, label set included; an empty one keeps the row
+// off that endpoint. kind and help head the series' family. get returns
+// an int, an int64 or a time.Duration (a duration string in /stats,
+// seconds in /metrics), or nil to leave the series out of this scrape.
+type statRow struct {
+	json, series, kind, help string
+	get                      func(v *statsSnapshot) any
+}
+
+const evictionsHelp = "Trajectories evicted from the registry, by cause."
+
+// whenAdmission keeps an admission gauge out of /metrics while admission
+// control is disabled.
+func whenAdmission(get func(v *statsSnapshot) any) func(v *statsSnapshot) any {
+	return func(v *statsSnapshot) any {
+		if !v.admission {
+			return nil
+		}
+		return get(v)
+	}
+}
+
+// statRows is the one declaration of every /stats field (in its JSON
+// order) and every /metrics series beyond the per-endpoint request
+// families. A family's series are adjacent rows.
+var statRows = [...]statRow{
+	{"", "motifserve_in_flight_requests", "gauge", "Requests currently being served.",
+		func(v *statsSnapshot) any { return v.inFlight }},
+	{"trajectories", "motifserve_trajectories", "gauge", "Trajectories resident in the registry.",
+		func(v *statsSnapshot) any { return v.Trajectories }},
+	{"maxTrajectories", "motifserve_trajectories_max", "gauge", "Configured registry capacity (0 = unbounded).",
+		func(v *statsSnapshot) any { return v.MaxTrajectories }},
+	{"trajectoryTTL", "motifserve_trajectory_ttl_seconds", "gauge", "Configured registry idle TTL (0 = disabled).",
+		func(v *statsSnapshot) any { return v.TrajectoryTTL }},
+	{"artifacts", "motifserve_cache_artifacts", "gauge", "Artifacts resident in the cache.",
+		func(v *statsSnapshot) any { return v.Artifacts }},
+	{"cacheBytes", "motifserve_cache_bytes", "gauge", "Bytes resident in the artifact cache.",
+		func(v *statsSnapshot) any { return v.CacheBytes }},
+	{"cacheBudget", "motifserve_cache_budget_bytes", "gauge", "Configured artifact-cache byte budget.",
+		func(v *statsSnapshot) any { return v.CacheBudget }},
+	{"built", "motifserve_artifacts_built_total", "counter", "Artifact constructions performed.",
+		func(v *statsSnapshot) any { return v.Built }},
+	{"reused", "motifserve_artifacts_reused_total", "counter", "Artifact constructions skipped by cache reuse.",
+		func(v *statsSnapshot) any { return v.Reused }},
+	{"evicted", "motifserve_artifact_evictions_total", "counter", "Artifacts dropped by the cache budget or registry purges.",
+		func(v *statsSnapshot) any { return v.Evicted }},
+	{"gridRebuildsAvoided", "", "", "",
+		func(v *statsSnapshot) any { return v.GridRebuildsAvoided() }},
+	{"removed", `motifserve_trajectory_evictions_total{cause="manual"}`, "counter", evictionsHelp,
+		func(v *statsSnapshot) any { return v.Removed }},
+	{"evictedLRU", `motifserve_trajectory_evictions_total{cause="lru"}`, "counter", evictionsHelp,
+		func(v *statsSnapshot) any { return v.EvictedLRU }},
+	{"evictedTTL", `motifserve_trajectory_evictions_total{cause="ttl"}`, "counter", evictionsHelp,
+		func(v *statsSnapshot) any { return v.EvictedTTL }},
+	{"indexConsulted", "motifserve_index_consulted_total", "counter", "Spatial-index candidate checks across /knn and /join.",
+		func(v *statsSnapshot) any { return v.indexConsulted }},
+	{"indexPruned", "motifserve_index_pruned_total", "counter", "Candidates dismissed by the spatial index alone.",
+		func(v *statsSnapshot) any { return v.indexPruned }},
+	{"pairDistsBuilt", "motifserve_pair_dists_built_total", "counter", "Endpoint- and point-distance memo misses across /join and /cluster.",
+		func(v *statsSnapshot) any { return v.PairDistsBuilt }},
+	{"pairDistsReused", "motifserve_pair_dists_reused_total", "counter", "Endpoint- and point-distance memo hits across /join and /cluster.",
+		func(v *statsSnapshot) any { return v.PairDistsReused }},
+	{"projectionFallbacks", "motifserve_projection_fallbacks_total", "counter", "Projected /join decision cells (or whole pairs) the certified error band could not decide, answered by the haversine.",
+		func(v *statsSnapshot) any { return v.projectionFallbacks }},
+	{"diskArtifacts", "motifserve_disk_artifacts", "gauge", "Artifacts resident in the disk tier (0 = tier disabled).",
+		func(v *statsSnapshot) any { return v.DiskArtifacts }},
+	{"diskBytes", "motifserve_disk_bytes", "gauge", "Bytes resident in the disk artifact tier.",
+		func(v *statsSnapshot) any { return v.DiskBytes }},
+	{"diskWrites", "motifserve_disk_writes_total", "counter", "Artifacts spilled to the disk tier.",
+		func(v *statsSnapshot) any { return v.DiskWrites }},
+	{"diskReads", "motifserve_disk_reads_total", "counter", "Artifacts promoted from the disk tier.",
+		func(v *statsSnapshot) any { return v.DiskReads }},
+	{"diskErrors", "motifserve_disk_errors_total", "counter", "Disk-tier write failures plus torn artifacts healed on read.",
+		func(v *statsSnapshot) any { return v.DiskErrors }},
+	{"requests", "", "", "",
+		func(v *statsSnapshot) any { return v.requests }},
+	{"", "motifserve_admission_worker_capacity", "gauge", "Configured global search-worker capacity.",
+		whenAdmission(func(v *statsSnapshot) any { return v.capacity })},
+	{"", "motifserve_admission_workers_in_use", "gauge", "Search-worker slots currently admitted.",
+		whenAdmission(func(v *statsSnapshot) any { return v.inUse })},
+	{"", "motifserve_admission_queued_requests", "gauge", "Search requests waiting for admission.",
+		whenAdmission(func(v *statsSnapshot) any { return v.queued })},
+	{"rejected", "motifserve_admission_rejected_total", "counter", "Search requests rejected with 429 by admission control.",
+		func(v *statsSnapshot) any { return v.rejected }},
+	{"uptime", "motifserve_uptime_seconds", "gauge", "Seconds since the server started.",
+		func(v *statsSnapshot) any { return v.uptime }},
+}
+
+// statsJSONObject renders the GET /stats object: every row with a json
+// key, in table order.
+func statsJSONObject(v *statsSnapshot) json.RawMessage {
+	b := []byte{'{'}
+	for i := range statRows {
+		row := &statRows[i]
+		if row.json == "" {
+			continue
+		}
+		if len(b) > 1 {
+			b = append(b, ',')
+		}
+		val := row.get(v)
+		if d, ok := val.(time.Duration); ok {
+			val = d.String()
+		}
+		enc, _ := json.Marshal(val) // ints and strings always encode
+		b = strconv.AppendQuote(b, row.json)
+		b = append(append(b, ':'), enc...)
+	}
+	return append(b, '}')
+}
+
+// render writes the Prometheus text exposition (version 0.0.4): the
+// per-endpoint request families, then every statRows series. Output is
+// deterministic: endpoints and status codes are sorted.
+func (m *metrics) render(w *strings.Builder, v *statsSnapshot) {
 	m.mu.Lock()
 	names := make([]string, 0, len(m.endpoints))
 	for name := range m.endpoints {
@@ -133,52 +239,27 @@ func (m *metrics) render(w *strings.Builder, live liveCounters) {
 		fmt.Fprintf(w, "motifserve_request_duration_seconds_sum{endpoint=%q} %g\n", name, e.sum)
 		fmt.Fprintf(w, "motifserve_request_duration_seconds_count{endpoint=%q} %d\n", name, e.count)
 	}
-
-	inFlight := m.inFlight
 	m.mu.Unlock()
 
-	gauge := func(name, help string, v any) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, v)
+	family := ""
+	for i := range statRows {
+		row := &statRows[i]
+		if row.series == "" {
+			continue
+		}
+		val := row.get(v)
+		if val == nil {
+			continue
+		}
+		if name, _, _ := strings.Cut(row.series, "{"); name != family {
+			family = name
+			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, row.help, name, row.kind)
+		}
+		if d, ok := val.(time.Duration); ok {
+			val = strconv.FormatFloat(d.Seconds(), 'f', 3, 64)
+		}
+		fmt.Fprintf(w, "%s %v\n", row.series, val)
 	}
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-
-	gauge("motifserve_in_flight_requests", "Requests currently being served.", inFlight)
-	gauge("motifserve_trajectories", "Trajectories resident in the registry.", live.trajectories)
-	gauge("motifserve_trajectories_max", "Configured registry capacity (0 = unbounded).", live.maxTrajectories)
-	gauge("motifserve_trajectory_ttl_seconds", "Configured registry idle TTL (0 = disabled).", strconv.FormatFloat(live.trajectoryTTL, 'f', 3, 64))
-	gauge("motifserve_cache_artifacts", "Artifacts resident in the cache.", live.artifacts)
-	gauge("motifserve_cache_bytes", "Bytes resident in the artifact cache.", live.cacheBytes)
-	gauge("motifserve_cache_budget_bytes", "Configured artifact-cache byte budget.", live.cacheBudget)
-	counter("motifserve_artifacts_built_total", "Artifact constructions performed.", live.built)
-	counter("motifserve_artifacts_reused_total", "Artifact constructions skipped by cache reuse.", live.reused)
-	counter("motifserve_artifact_evictions_total", "Artifacts dropped by the cache budget or registry purges.", live.artifactEvicted)
-
-	fmt.Fprintf(w, "# HELP motifserve_trajectory_evictions_total Trajectories evicted from the registry, by cause.\n")
-	fmt.Fprintf(w, "# TYPE motifserve_trajectory_evictions_total counter\n")
-	fmt.Fprintf(w, "motifserve_trajectory_evictions_total{cause=\"manual\"} %d\n", live.evictedManual)
-	fmt.Fprintf(w, "motifserve_trajectory_evictions_total{cause=\"lru\"} %d\n", live.evictedLRU)
-	fmt.Fprintf(w, "motifserve_trajectory_evictions_total{cause=\"ttl\"} %d\n", live.evictedTTL)
-
-	counter("motifserve_pair_dists_built_total", "Endpoint-distance memo tables built for /join.", live.pairDistsBuilt)
-	counter("motifserve_pair_dists_reused_total", "Endpoint-distance memo tables served from cache.", live.pairDistsReused)
-	counter("motifserve_index_consulted_total", "Spatial-index candidate checks across /knn and /join.", live.indexConsulted)
-	counter("motifserve_index_pruned_total", "Candidates dismissed by the spatial index alone.", live.indexPruned)
-
-	gauge("motifserve_disk_artifacts", "Artifacts resident in the disk tier (0 = tier disabled).", live.diskArtifacts)
-	gauge("motifserve_disk_bytes", "Bytes resident in the disk artifact tier.", live.diskBytes)
-	counter("motifserve_disk_writes_total", "Artifacts spilled to the disk tier.", live.diskWrites)
-	counter("motifserve_disk_reads_total", "Artifacts promoted from the disk tier.", live.diskReads)
-	counter("motifserve_disk_errors_total", "Disk-tier write failures plus torn artifacts healed on read.", live.diskErrors)
-
-	if live.admissionEnabled {
-		gauge("motifserve_admission_worker_capacity", "Configured global search-worker capacity.", live.workerCapacity)
-		gauge("motifserve_admission_workers_in_use", "Search-worker slots currently admitted.", live.admissionInUse)
-		gauge("motifserve_admission_queued_requests", "Search requests waiting for admission.", live.admissionQueued)
-	}
-	counter("motifserve_admission_rejected_total", "Search requests rejected with 429 by admission control.", live.admissionReject)
-	gauge("motifserve_uptime_seconds", "Seconds since the server started.", strconv.FormatFloat(live.uptimeSeconds, 'f', 3, 64))
 }
 
 // statusRecorder wraps a ResponseWriter to capture the status code and

@@ -249,14 +249,6 @@ func (s *Server) searchWeight(workers int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Store returns the trajectory store the server fronts, or nil when the
-// backend is not a plain single store (use Backend for the general
-// surface).
-func (s *Server) Store() *store.Store {
-	st, _ := s.st.(*store.Store)
-	return st
-}
-
 // Backend returns the state backend the server fronts.
 func (s *Server) Backend() Backend { return s.st }
 
@@ -974,107 +966,39 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// serverStats is the GET /stats payload: the store snapshot plus request
-// accounting. gridRebuildsAvoided is the cumulative cross-request reuse.
-type serverStats struct {
-	Trajectories        int    `json:"trajectories"`
-	MaxTrajectories     int    `json:"maxTrajectories"`
-	TrajectoryTTL       string `json:"trajectoryTTL"`
-	Artifacts           int    `json:"artifacts"`
-	CacheBytes          int64  `json:"cacheBytes"`
-	CacheBudget         int64  `json:"cacheBudget"`
-	Built               int64  `json:"built"`
-	Reused              int64  `json:"reused"`
-	Evicted             int64  `json:"evicted"`
-	GridRebuildsAvoided int64  `json:"gridRebuildsAvoided"`
-	Removed             int64  `json:"removed"`
-	EvictedLRU          int64  `json:"evictedLRU"`
-	EvictedTTL          int64  `json:"evictedTTL"`
-	IndexConsulted      int64  `json:"indexConsulted"`
-	IndexPruned         int64  `json:"indexPruned"`
-	PairDistsBuilt      int64  `json:"pairDistsBuilt"`
-	PairDistsReused     int64  `json:"pairDistsReused"`
-	ProjectionFallbacks int64  `json:"projectionFallbacks"`
-	DiskArtifacts       int    `json:"diskArtifacts"`
-	DiskBytes           int64  `json:"diskBytes"`
-	DiskWrites          int64  `json:"diskWrites"`
-	DiskReads           int64  `json:"diskReads"`
-	DiskErrors          int64  `json:"diskErrors"`
-	Requests            int64  `json:"requests"`
-	Rejected            int64  `json:"rejected"`
-	Uptime              string `json:"uptime"`
+// snapshot reads everything the statRows getters report, once.
+func (s *Server) snapshot() *statsSnapshot {
+	v := &statsSnapshot{
+		Stats:               s.st.Stats(),
+		requests:            s.requests.Load(),
+		rejected:            s.rejected.Load(),
+		indexConsulted:      s.indexConsulted.Load(),
+		indexPruned:         s.indexPruned.Load(),
+		projectionFallbacks: s.projectionFallbacks.Load(),
+		inFlight:            s.met.inFlightNow(),
+		uptime:              time.Since(s.started).Round(time.Millisecond),
+	}
+	if s.sem != nil {
+		v.admission = true
+		v.capacity = s.capacity
+		v.inUse, v.queued = s.sem.snapshot()
+	}
+	return v
 }
 
+// handleStats serves the store snapshot plus request accounting as one
+// JSON object. gridRebuildsAvoided is the cumulative cross-request reuse.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := s.st.Stats()
-	writeJSON(w, http.StatusOK, serverStats{
-		Trajectories:        st.Trajectories,
-		MaxTrajectories:     st.MaxTrajectories,
-		TrajectoryTTL:       st.TrajectoryTTL.String(),
-		Artifacts:           st.Artifacts,
-		CacheBytes:          st.CacheBytes,
-		CacheBudget:         st.CacheBudget,
-		Built:               st.Built,
-		Reused:              st.Reused,
-		Evicted:             st.Evicted,
-		GridRebuildsAvoided: st.GridRebuildsAvoided(),
-		Removed:             st.Removed,
-		EvictedLRU:          st.EvictedLRU,
-		EvictedTTL:          st.EvictedTTL,
-		IndexConsulted:      s.indexConsulted.Load(),
-		IndexPruned:         s.indexPruned.Load(),
-		PairDistsBuilt:      st.PairDistsBuilt,
-		PairDistsReused:     st.PairDistsReused,
-		ProjectionFallbacks: s.projectionFallbacks.Load(),
-		DiskArtifacts:       st.DiskArtifacts,
-		DiskBytes:           st.DiskBytes,
-		DiskWrites:          st.DiskWrites,
-		DiskReads:           st.DiskReads,
-		DiskErrors:          st.DiskErrors,
-		Requests:            s.requests.Load(),
-		Rejected:            s.rejected.Load(),
-		Uptime:              time.Since(s.started).Round(time.Millisecond).String(),
-	})
+	writeJSON(w, http.StatusOK, statsJSONObject(s.snapshot()))
 }
 
 // handleMetrics serves the Prometheus text exposition: per-endpoint
-// request counters and latency histograms, the in-flight gauge, and the
-// store/cache/index/eviction/admission counters — the same numbers
-// /stats reports as JSON, in the format a scraper ingests.
+// request counters and latency histograms, and the statRows series —
+// the same numbers /stats reports as JSON, in the format a scraper
+// ingests.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	st := s.st.Stats()
-	live := liveCounters{
-		trajectories:    st.Trajectories,
-		maxTrajectories: st.MaxTrajectories,
-		trajectoryTTL:   st.TrajectoryTTL.Seconds(),
-		artifacts:       st.Artifacts,
-		cacheBytes:      st.CacheBytes,
-		cacheBudget:     st.CacheBudget,
-		built:           st.Built,
-		reused:          st.Reused,
-		artifactEvicted: st.Evicted,
-		evictedManual:   st.Removed,
-		evictedLRU:      st.EvictedLRU,
-		evictedTTL:      st.EvictedTTL,
-		pairDistsBuilt:  st.PairDistsBuilt,
-		pairDistsReused: st.PairDistsReused,
-		diskArtifacts:   st.DiskArtifacts,
-		diskBytes:       st.DiskBytes,
-		diskWrites:      st.DiskWrites,
-		diskReads:       st.DiskReads,
-		diskErrors:      st.DiskErrors,
-		indexConsulted:  s.indexConsulted.Load(),
-		indexPruned:     s.indexPruned.Load(),
-		admissionReject: s.rejected.Load(),
-		uptimeSeconds:   time.Since(s.started).Seconds(),
-	}
-	if s.sem != nil {
-		live.admissionEnabled = true
-		live.workerCapacity = s.capacity
-		live.admissionInUse, live.admissionQueued = s.sem.snapshot()
-	}
 	var b strings.Builder
-	s.met.render(&b, live)
+	s.met.render(&b, s.snapshot())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	_, _ = io.WriteString(w, b.String())

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"trajmotif/internal/geo"
+	"trajmotif/internal/spatial"
+	"trajmotif/internal/store"
 	"trajmotif/internal/traj"
 )
 
@@ -26,6 +28,22 @@ func cityWalk(t *testing.T, seed int64, n int, lat, lng float64) *traj.Trajector
 		t.Fatal(err)
 	}
 	return tr
+}
+
+// checkIndexBoxes fails the test unless IndexFor serves the Bound fold
+// for every trajectory the backend lists as live.
+func checkIndexBoxes(t *testing.T, b Backend) {
+	t.Helper()
+	for _, id := range b.IDs() {
+		tr, ok := b.Get(id)
+		if !ok {
+			continue // evicted between IDs and Get
+		}
+		box, _ := b.IndexFor([]store.ID{id}, []*traj.Trajectory{tr}).MBROf(0)
+		if box != spatial.Bound(tr.Points) {
+			t.Fatalf("IndexFor box of %s = %+v, want the Bound fold", id, box)
+		}
+	}
 }
 
 // TestStatsSurfacesIndexCounters: /knn and /join consult the spatial
@@ -54,7 +72,7 @@ func TestStatsSurfacesIndexCounters(t *testing.T) {
 		t.Errorf("join index counters: %+v", joinOut.Stats)
 	}
 
-	var st serverStats
+	var st statsBody
 	call(t, ts, "GET", "/stats", nil, &st, http.StatusOK)
 	wantConsulted := knnOut.Stats.IndexConsulted + joinOut.Stats.IndexConsulted
 	wantPruned := knnOut.Stats.IndexPruned + joinOut.Stats.IndexPruned
@@ -65,14 +83,14 @@ func TestStatsSurfacesIndexCounters(t *testing.T) {
 }
 
 // TestSpatialIndexDuringChurn extends the PR 5 DELETE churn regression
-// to the maintained spatial index: while uploads and DELETEs race /knn
-// and /join, the index must never yield a removed trajectory nor drop a
-// live one (SpatialParity), and the handlers must keep answering. The CI
-// race job runs this under -race.
+// to the per-request spatial index: while uploads and DELETEs race /knn
+// and /join, IndexFor must serve the Bound fold for every live id, a
+// deleted id must leave the registry, and the handlers must keep
+// answering. The CI race job runs this under -race.
 func TestSpatialIndexDuringChurn(t *testing.T) {
 	ts, srv := harness(t)
 	query := upload(t, ts, cityWalk(t, 51, 20, 39.9, 116.4))
-	upload(t, ts, cityWalk(t, 52, 20, 39.91, 116.41))
+	second := upload(t, ts, cityWalk(t, 52, 20, 39.91, 116.41))
 
 	done := make(chan struct{})
 	go func() {
@@ -96,12 +114,11 @@ func TestSpatialIndexDuringChurn(t *testing.T) {
 		}
 		var joinOut joinResponse
 		call(t, ts, "POST", "/join", joinRequest{Eps: 1e9}, &joinOut, http.StatusOK)
-		if missing, stale := srv.Store().SpatialParity(); len(missing) != 0 || stale != 0 {
-			t.Fatalf("churn %d: index missing=%v stale=%d", k, missing, stale)
-		}
+		checkIndexBoxes(t, srv.Backend())
 	}
 	<-done
-	if missing, stale := srv.Store().SpatialParity(); len(missing) != 0 || stale != 0 {
-		t.Fatalf("final index parity: missing=%v stale=%d", missing, stale)
+	checkIndexBoxes(t, srv.Backend())
+	if ids := srv.Backend().IDs(); len(ids) != 2 || ids[0] != query || ids[1] != second {
+		t.Fatalf("registry after churn = %v, want only the two seeds", ids)
 	}
 }

@@ -26,6 +26,13 @@ func harness(t *testing.T) (*httptest.Server, *Server) {
 	return ts, srv
 }
 
+// statsBody decodes the GET /stats fields the tests read (JSON keys
+// match the field names case-insensitively).
+type statsBody struct {
+	Trajectories, Built, GridRebuildsAvoided, Removed, EvictedLRU, EvictedTTL int64
+	IndexConsulted, IndexPruned, PairDistsBuilt, PairDistsReused, Rejected    int64
+}
+
 // call POSTs (or GETs when body is nil) and decodes the JSON response
 // into out, failing the test on transport errors or a status mismatch.
 func call(t *testing.T, ts *httptest.Server, method, path string, body, out any, wantStatus int) {
@@ -98,8 +105,8 @@ func TestTrajectoryUploadAndDedup(t *testing.T) {
 	if id != id2 {
 		t.Fatalf("re-upload changed id: %s vs %s", id, id2)
 	}
-	if srv.Store().Len() != 1 {
-		t.Fatalf("store holds %d trajectories, want 1", srv.Store().Len())
+	if srv.Backend().Len() != 1 {
+		t.Fatalf("store holds %d trajectories, want 1", srv.Backend().Len())
 	}
 
 	// CSV body variant.
@@ -128,12 +135,12 @@ func TestRepeatDiscoverSkipsGrids(t *testing.T) {
 	req := discoverRequest{ID: id, Xi: 8}
 	call(t, ts, "POST", "/discover", req, &first, http.StatusOK)
 
-	var stats1 serverStats
+	var stats1 statsBody
 	call(t, ts, "GET", "/stats", nil, &stats1, http.StatusOK)
 
 	call(t, ts, "POST", "/discover", req, &second, http.StatusOK)
 
-	var stats2 serverStats
+	var stats2 statsBody
 	call(t, ts, "GET", "/stats", nil, &stats2, http.StatusOK)
 
 	if second.Stats.GridRebuildsAvoided != 2 {
@@ -212,11 +219,11 @@ func TestDiscoverPairsAndCacheSharing(t *testing.T) {
 		}
 	}
 
-	var stats1 serverStats
+	var stats1 statsBody
 	call(t, ts, "GET", "/stats", nil, &stats1, http.StatusOK)
 	var again []pairResponse
 	call(t, ts, "POST", "/discover/pairs", discoverPairsRequest{IDs: ids, Xi: 6}, &again, http.StatusOK)
-	var stats2 serverStats
+	var stats2 statsBody
 	call(t, ts, "GET", "/stats", nil, &stats2, http.StatusOK)
 	if stats2.Built != stats1.Built {
 		t.Errorf("repeated all-pairs built %d new artifacts", stats2.Built-stats1.Built)
@@ -423,12 +430,12 @@ func TestBulkUpload(t *testing.T) {
 		if rec.Index != k || !rec.Created || rec.N != trs[k].Len() {
 			t.Errorf("record %d: %+v", k, rec)
 		}
-		if _, ok := srv.Store().Get(rec.ID); !ok {
+		if _, ok := srv.Backend().Get(rec.ID); !ok {
 			t.Errorf("record %d id %s not registered", k, rec.ID)
 		}
 	}
-	if srv.Store().Len() != 3 {
-		t.Fatalf("store holds %d trajectories, want 3", srv.Store().Len())
+	if srv.Backend().Len() != 3 {
+		t.Fatalf("store holds %d trajectories, want 3", srv.Backend().Len())
 	}
 
 	// Bulk IDs match the content hashes of individual uploads.
@@ -456,14 +463,14 @@ func TestBulkUpload(t *testing.T) {
 
 	// Malformed JSON after valid records: 200 with the stream error set
 	// and the earlier registrations standing.
-	before := srv.Store().Len()
+	before := srv.Backend().Len()
 	out = bulkResponse{}
 	bulkCall(t, ts, `{"points":[[7,8],[7.1,8.1]]}`+"\n{garbage\n", &out, http.StatusOK)
 	if out.Stored != 1 || out.Error == "" {
 		t.Fatalf("truncated bulk: %+v", out)
 	}
-	if srv.Store().Len() != before+1 {
-		t.Errorf("truncated bulk registered %d, want 1", srv.Store().Len()-before)
+	if srv.Backend().Len() != before+1 {
+		t.Errorf("truncated bulk registered %d, want 1", srv.Backend().Len()-before)
 	}
 
 	// Nothing decodable at all: a plain 400.
@@ -493,8 +500,8 @@ func TestBulkEchoCap(t *testing.T) {
 		t.Errorf("counts cover %d records, want %d", out.Stored+out.Failed, n)
 	}
 	// Registrations are capped by content dedup (180 distinct), not echo.
-	if srv.Store().Len() != 180 {
-		t.Errorf("store holds %d distinct trajectories, want 180", srv.Store().Len())
+	if srv.Backend().Len() != 180 {
+		t.Errorf("store holds %d distinct trajectories, want 180", srv.Backend().Len())
 	}
 }
 
@@ -512,8 +519,8 @@ func TestBulkBodyCap(t *testing.T) {
 	if out.Stored != 1 || out.Error == "" {
 		t.Fatalf("capped bulk: %+v", out)
 	}
-	if srv.Store().Len() != 1 {
-		t.Errorf("store holds %d, want the 1 record decoded before the cap", srv.Store().Len())
+	if srv.Backend().Len() != 1 {
+		t.Errorf("store holds %d, want the 1 record decoded before the cap", srv.Backend().Len())
 	}
 }
 
@@ -571,13 +578,13 @@ func TestDeleteTrajectory(t *testing.T) {
 	// Explicitly naming a deleted id is a 404, not a silent skip.
 	call(t, ts, "POST", "/knn", knnRequest{Query: ids[0], IDs: []store.ID{ids[1], ids[3]}, K: 1}, nil, http.StatusNotFound)
 
-	var st serverStats
+	var st statsBody
 	call(t, ts, "GET", "/stats", nil, &st, http.StatusOK)
 	if st.Trajectories != 3 || st.Removed != 1 {
 		t.Errorf("stats after delete: trajectories=%d removed=%d, want 3/1", st.Trajectories, st.Removed)
 	}
-	if srv.Store().Len() != 3 {
-		t.Errorf("store holds %d, want 3", srv.Store().Len())
+	if srv.Backend().Len() != 3 {
+		t.Errorf("store holds %d, want 3", srv.Backend().Len())
 	}
 }
 

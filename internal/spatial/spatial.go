@@ -65,7 +65,7 @@ func Bound(pts []geo.Point) MBR {
 }
 
 // Clamp returns the point of the box closest to p in coordinate space.
-// It is the probe-bound helper knn and join have always used; note that
+// It is the probe point of ProbeBound and ProbeBoundPrepared; note that
 // on a sphere the clamped point is not always the minimal-distance box
 // point (MinDist's analytic bound is, and is used for index pruning).
 func (m MBR) Clamp(p geo.Point) geo.Point {
@@ -81,6 +81,37 @@ func (m MBR) Clamp(p geo.Point) geo.Point {
 		q.Lng = m.MaxLng
 	}
 	return q
+}
+
+// ProbeBound lower-bounds DFD(a, ·) for any trajectory inside bb: every
+// coupling matches each probed point of a to some point in bb, so the
+// max probe-to-box distance is a lower bound. Probes first, middle, last.
+// The probe-to-box distance is df to the Clamp point, the construction
+// knn and join refine with (see Clamp's note on the sphere).
+func ProbeBound(a []geo.Point, bb MBR, df geo.DistanceFunc) float64 {
+	lb := 0.0
+	for _, idx := range [...]int{0, len(a) / 2, len(a) - 1} {
+		p := a[idx]
+		if d := df(p, bb.Clamp(p)); d > lb {
+			lb = d
+		}
+	}
+	return lb
+}
+
+// ProbeBoundPrepared is ProbeBound over pre-selected probes with hoisted
+// cos(lat) factors; only the clamp point's factor is computed per call.
+// Bit-identical to ProbeBound on the same probes under haversine, so
+// callers must gate it on geo.IsHaversine.
+func ProbeBoundPrepared(probes []geo.PreparedPoint, bb MBR) float64 {
+	lb := 0.0
+	for _, pp := range probes {
+		c := bb.Clamp(pp.P)
+		if d := geo.HaversinePrepared(pp.P, c, pp.CosLat, geo.CosLat(c)); d > lb {
+			lb = d
+		}
+	}
+	return lb
 }
 
 // soundnessShave is the relative margin MinDist bounds are shrunk by:

@@ -113,9 +113,10 @@ type Stats struct {
 	// registry by the MaxTrajectories cap and the TrajectoryTTL expiry
 	// respectively (Removed covers the manual cause).
 	EvictedLRU, EvictedTTL int64
-	// PairDistsBuilt and PairDistsReused count endpoint-distance memo
-	// misses and hits (EndpointDists). A hit saves two ground-distance
-	// evaluations in the join's filter cascade or cluster membership.
+	// PairDistsBuilt and PairDistsReused count endpoint- and
+	// point-distance memo misses and hits (EndpointDists, PointDists). A
+	// hit saves the ground-distance evaluations of the join's filter
+	// cascade or of a cluster membership test.
 	PairDistsBuilt, PairDistsReused int64
 	// MaxTrajectories and TrajectoryTTL echo the configured policy
 	// (zero: unbounded / no expiry).
@@ -208,17 +209,10 @@ type Store struct {
 	regLRU  *list.List
 	regElem map[ID]*list.Element
 
-	// Spatial side-index, maintained under the same mutex as the
-	// registry so every snapshot the handlers take is consistent:
-	// trajectories are immutable, so a cached MBR is always equal to
-	// spatial.Bound of its points. The index keys by small integer
-	// handles (spatial.Index wants ints; content IDs are 64-hex strings)
-	// assigned in insertion order and never reused.
-	mbrs       map[ID]spatial.MBR
-	sindex     *spatial.Index
-	handles    map[ID]int
-	handleID   map[int]ID
-	nextHandle int
+	// MBR cache behind IndexFor, maintained under the same mutex as the
+	// registry: trajectories are immutable, so a cached MBR is always
+	// equal to spatial.Bound of its points.
+	mbrs map[ID]spatial.MBR
 
 	cache map[artifactKey]*entry
 	lru   *list.List // front = most recently used
@@ -277,9 +271,6 @@ func New(opt *Options) *Store {
 		regLRU:   list.New(),
 		regElem:  make(map[ID]*list.Element),
 		mbrs:     make(map[ID]spatial.MBR),
-		sindex:   spatial.NewIndex(&spatial.IndexOptions{Dist: df}),
-		handles:  make(map[ID]int),
-		handleID: make(map[int]ID),
 		cache:    make(map[artifactKey]*entry),
 		lru:      list.New(),
 	}
@@ -351,13 +342,7 @@ func (s *Store) Add(t *traj.Trajectory) (id ID, created bool, err error) {
 	s.trajs[id] = t
 	s.order = append(s.order, id)
 	s.memoLocked(t.Points)
-	mbr := spatial.Bound(t.Points)
-	s.mbrs[id] = mbr
-	h := s.nextHandle
-	s.nextHandle++
-	s.handles[id] = h
-	s.handleID[h] = id
-	s.sindex.Insert(h, mbr)
+	s.mbrs[id] = spatial.Bound(t.Points)
 	s.regElem[id] = s.regLRU.PushFront(&regEntry{id: id, last: s.clock()})
 	// Capacity eviction: drop least-recently-touched entries until the
 	// registry fits. The entry just added sits at the front, so with any
@@ -458,7 +443,7 @@ func (s *Store) Remove(id ID) bool {
 // evictLocked deletes a registered trajectory and purges every cached
 // artifact derived from its geometry — the one purge path behind
 // Remove, the MaxTrajectories cap, and the TrajectoryTTL sweep, so
-// automatic eviction can never leave the spatial index or the artifact
+// automatic eviction can never leave the MBR cache or the artifact
 // cache staler than a manual DELETE would.
 func (s *Store) evictLocked(id ID, cause EvictCause) bool {
 	t, ok := s.trajs[id]
@@ -475,11 +460,6 @@ func (s *Store) evictLocked(id ID, cause EvictCause) bool {
 	if e, ok := s.regElem[id]; ok {
 		s.regLRU.Remove(e)
 		delete(s.regElem, id)
-	}
-	if h, ok := s.handles[id]; ok {
-		s.sindex.Remove(h)
-		delete(s.handles, id)
-		delete(s.handleID, h)
 	}
 	delete(s.mbrs, id)
 	pid := s.idForLocked(t.Points)
@@ -548,20 +528,6 @@ func (s *Store) IDs() []ID {
 // under.
 func (s *Store) Dist() geo.DistanceFunc { return s.df }
 
-// mbrFor returns the bounding box of a trajectory, from the registry's
-// cache when id is registered, recomputed otherwise (trajectories are
-// immutable, so both are the identical spatial.Bound fold — a raced
-// Remove can only cost the recompute, never yield a different box).
-func (s *Store) mbrFor(id ID, t *traj.Trajectory) spatial.MBR {
-	s.mu.Lock()
-	mbr, ok := s.mbrs[id]
-	s.mu.Unlock()
-	if ok {
-		return mbr
-	}
-	return spatial.Bound(t.Points)
-}
-
 // IndexFor builds a position-keyed spatial index over a resolved dataset
 // — the shape knn.Options.Index and join.Options.Index consume — reusing
 // the registry's cached MBRs under one lock acquisition. ids and ts are
@@ -580,52 +546,6 @@ func (s *Store) IndexFor(ids []ID, ts []*traj.Trajectory) *spatial.Index {
 	}
 	s.mu.Unlock()
 	return ix
-}
-
-// spatialCandidates lists the registered trajectories whose MBRs lie
-// within radius of q under the store's ground distance (a sound superset:
-// MinDist lower-bounds every point-to-point distance), in insertion
-// order. Radius semantics follow spatial.Index.Candidates.
-func (s *Store) spatialCandidates(q spatial.MBR, radius float64) []ID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	hs := s.sindex.Candidates(q, radius)
-	// Handles are assigned in insertion order and never reused, so the
-	// sorted handles Candidates returns are already in insertion order.
-	out := make([]ID, 0, len(hs))
-	for _, h := range hs {
-		if id, ok := s.handleID[h]; ok {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// SpatialParity cross-checks the maintained index against the registry
-// under one lock acquisition: missing lists live trajectories the index
-// lacks (or holds under a wrong box), stale counts index entries whose
-// trajectory is gone. Both are always empty/zero — the churn regression
-// test calls this while Add/Remove race the query handlers.
-func (s *Store) SpatialParity() (missing []ID, stale int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, id := range s.order {
-		h, ok := s.handles[id]
-		if !ok {
-			missing = append(missing, id)
-			continue
-		}
-		mbr, ok := s.sindex.MBROf(h)
-		if !ok || mbr != spatial.Bound(s.trajs[id].Points) {
-			missing = append(missing, id)
-		}
-	}
-	for _, h := range s.sindex.IDs() {
-		if _, ok := s.handleID[h]; !ok {
-			stale++
-		}
-	}
-	return missing, stale
 }
 
 // Stats snapshots the registry and cache state (TTL-expired entries are

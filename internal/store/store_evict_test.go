@@ -81,8 +81,8 @@ func TestMaxTrajectoriesLRU(t *testing.T) {
 	if st.Trajectories != 2 || st.EvictedLRU != 1 || st.Removed != 0 || st.EvictedTTL != 0 {
 		t.Errorf("stats after cap eviction: %+v", st)
 	}
-	if missing, stale := s.SpatialParity(); len(missing) != 0 || stale != 0 {
-		t.Errorf("spatial index inconsistent after eviction: missing=%v stale=%d", missing, stale)
+	if missing, stale := mbrParity(s); len(missing) != 0 || stale != 0 {
+		t.Errorf("MBR cache inconsistent after eviction: missing=%v stale=%d", missing, stale)
 	}
 }
 
@@ -173,9 +173,9 @@ func TestAddTouchesExisting(t *testing.T) {
 	}
 }
 
-// TestEvictionChurnRace hammers Add/Get/Stats/SpatialParity concurrently
-// against a tightly capped, short-TTL store: the registry stays bounded,
-// the spatial index never disagrees with the registry, and the run is
+// TestEvictionChurnRace hammers Add/Get/Stats and the MBR-cache parity
+// probe concurrently against a tightly capped, short-TTL store: the
+// registry stays bounded, the MBR cache never disagrees with the registry, and the run is
 // race-clean (CI executes this under -race).
 func TestEvictionChurnRace(t *testing.T) {
 	const cap = 4
@@ -205,7 +205,7 @@ func TestEvictionChurnRace(t *testing.T) {
 				case 1:
 					s.Get(ids[(w*5+k)%len(ids)]) // hit or miss both fine mid-churn
 				default:
-					if missing, stale := s.SpatialParity(); len(missing) != 0 || stale != 0 {
+					if missing, stale := mbrParity(s); len(missing) != 0 || stale != 0 {
 						t.Errorf("parity broke mid-churn: missing=%v stale=%d", missing, stale)
 					}
 				}
@@ -220,7 +220,7 @@ func TestEvictionChurnRace(t *testing.T) {
 	if n := s.Len(); n > cap {
 		t.Fatalf("final registry size %d exceeds cap %d", n, cap)
 	}
-	if missing, stale := s.SpatialParity(); len(missing) != 0 || stale != 0 {
+	if missing, stale := mbrParity(s); len(missing) != 0 || stale != 0 {
 		t.Fatalf("final parity: missing=%v stale=%d", missing, stale)
 	}
 	st := s.Stats()

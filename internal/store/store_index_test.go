@@ -1,7 +1,6 @@
 package store
 
 import (
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -21,9 +20,35 @@ func walkAt(r *rand.Rand, n int, lat, lng float64) *traj.Trajectory {
 	return traj.FromPoints(pts)
 }
 
-// TestSpatialMaintenance: the side-index tracks Add/Remove exactly —
-// cached MBRs equal the Bound fold, candidates come back in insertion
-// order, and removal drops the entry everywhere.
+// mbrParity cross-checks the MBR cache behind IndexFor against the
+// registry under one lock acquisition: missing lists live trajectories
+// the cache lacks (or holds under a wrong box), stale counts entries
+// whose trajectory is gone.
+func mbrParity(s *Store) (missing []ID, stale int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, id := range s.order {
+		if mbr, ok := s.mbrs[id]; !ok || mbr != spatial.Bound(s.trajs[id].Points) {
+			missing = append(missing, id)
+		}
+	}
+	for id := range s.mbrs {
+		if _, ok := s.trajs[id]; !ok {
+			stale++
+		}
+	}
+	return missing, stale
+}
+
+// indexBox is the box IndexFor serves for one trajectory.
+func indexBox(s *Store, id ID, tr *traj.Trajectory) spatial.MBR {
+	mbr, _ := s.IndexFor([]ID{id}, []*traj.Trajectory{tr}).MBROf(0)
+	return mbr
+}
+
+// TestSpatialMaintenance: the MBR cache tracks Add/Remove exactly —
+// IndexFor serves the Bound fold for every live id, and removal drops
+// the cache entry.
 func TestSpatialMaintenance(t *testing.T) {
 	r := rand.New(rand.NewSource(131))
 	s := New(nil)
@@ -35,33 +60,18 @@ func TestSpatialMaintenance(t *testing.T) {
 			t.Fatalf("add %d: %v created=%v", i, err, created)
 		}
 		ids = append(ids, id)
-		if got := s.mbrFor(id, tr); got != spatial.Bound(tr.Points) {
-			t.Fatalf("mbrFor(%d) = %+v, want the Bound fold", i, got)
+		if got := indexBox(s, id, tr); got != spatial.Bound(tr.Points) {
+			t.Fatalf("IndexFor box of %d = %+v, want the Bound fold", i, got)
 		}
 	}
-	if missing, stale := s.SpatialParity(); len(missing) != 0 || stale != 0 {
+	if missing, stale := mbrParity(s); len(missing) != 0 || stale != 0 {
 		t.Fatalf("parity after adds: missing=%v stale=%d", missing, stale)
-	}
-	all := s.spatialCandidates(spatial.MBR{MinLat: 40, MaxLat: 40, MinLng: -74, MaxLng: -74}, math.Inf(1))
-	want := s.IDs()
-	if len(all) != len(want) {
-		t.Fatalf("candidates %d of %d", len(all), len(want))
-	}
-	for k := range all {
-		if all[k] != want[k] {
-			t.Fatalf("candidates out of insertion order at %d: %s vs %s", k, all[k], want[k])
-		}
 	}
 
 	if !s.Remove(ids[3]) {
 		t.Fatal("remove failed")
 	}
-	for _, id := range s.spatialCandidates(spatial.MBR{MinLat: 43, MaxLat: 43, MinLng: -71, MaxLng: -71}, math.Inf(1)) {
-		if id == ids[3] {
-			t.Fatal("removed id still a spatial candidate")
-		}
-	}
-	if missing, stale := s.SpatialParity(); len(missing) != 0 || stale != 0 {
+	if missing, stale := mbrParity(s); len(missing) != 0 || stale != 0 {
 		t.Fatalf("parity after remove: missing=%v stale=%d", missing, stale)
 	}
 
@@ -79,9 +89,9 @@ func TestSpatialMaintenance(t *testing.T) {
 }
 
 // TestSpatialMaintenanceRace is the churn regression at the store layer:
-// concurrent Add/Remove against spatialCandidates, IndexFor and
-// SpatialParity under -race. The parity probe must never see a live
-// trajectory missing from the index or a dead entry lingering in it.
+// concurrent Add/Remove against IDs, IndexFor and the MBR cache under
+// -race. The parity probe must never see a live trajectory missing from
+// the cache or a dead entry lingering in it.
 func TestSpatialMaintenanceRace(t *testing.T) {
 	s := New(nil)
 	r := rand.New(rand.NewSource(132))
@@ -111,28 +121,33 @@ func TestSpatialMaintenanceRace(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		q := spatial.MBR{MinLat: 40, MaxLat: 52, MinLng: -74, MaxLng: -74}
 		for k := 0; k < churns; k++ {
-			for _, id := range s.spatialCandidates(q, 1e6) {
-				if _, ok := s.Get(id); !ok {
-					// A raced Remove between Candidates and Get is fine; a
-					// seed id vanishing is not (nothing removes them).
+			for _, id := range s.IDs() {
+				tr, ok := s.Get(id)
+				if !ok {
+					// A raced Remove between IDs and Get is fine; a seed
+					// id vanishing is not (nothing removes them).
 					for _, sid := range seedIDs {
 						if id == sid {
 							t.Errorf("live seed id %s missing from registry", id)
 							return
 						}
 					}
+					continue
+				}
+				if got := indexBox(s, id, tr); got != spatial.Bound(tr.Points) {
+					t.Errorf("IndexFor box of %s = %+v mid-churn, want the Bound fold", id, got)
+					return
 				}
 			}
-			if missing, stale := s.SpatialParity(); len(missing) != 0 || stale != 0 {
+			if missing, stale := mbrParity(s); len(missing) != 0 || stale != 0 {
 				t.Errorf("churn parity: missing=%v stale=%d", missing, stale)
 				return
 			}
 		}
 	}()
 	wg.Wait()
-	if missing, stale := s.SpatialParity(); len(missing) != 0 || stale != 0 {
+	if missing, stale := mbrParity(s); len(missing) != 0 || stale != 0 {
 		t.Fatalf("final parity: missing=%v stale=%d", missing, stale)
 	}
 	if s.Len() != len(seedIDs) {

@@ -1,22 +1,21 @@
-// Package statsmerge enforces that effort-counter structs stay exhaustive
-// end to end. Two checks:
+// Package statsmerge enforces that effort-counter merges stay
+// exhaustive: a func/method whose name starts with merge/Merge/fold/Fold
+// and whose receiver or a parameter is a *Stats-named struct must mention
+// every exported field of that struct, or list the intentionally
+// unmerged ones in a
 //
-//  1. merge functions — a func/method whose name starts with merge/Merge/
-//     fold/Fold and whose receiver or a parameter is a *Stats-named struct
-//     must mention every exported field of that struct, or list the
-//     intentionally unmerged ones in a
-//     //statsmerge:exempt Field1 Field2 -- <reason>
-//     directive on the function. A per-worker counter added to core.Stats
-//     but forgotten in mergeEffort silently breaks worker-count
-//     determinism; this check turns that into a lint failure. Exempt
-//     names are validated against the struct, so a renamed field cannot
-//     leave a stale exemption behind.
+//	//statsmerge:exempt Field1 Field2 -- <reason>
 //
-//  2. renderers — in a package named serve, a function that reads one
-//     field of a *Stats struct from core/store/join/knn/batch must read
-//     them all (or consume the whole struct value, e.g. embed it in a
-//     response literal). This keeps /stats and /metrics exhaustive when a
-//     counter is added.
+// directive on the function. A per-worker counter added to core.Stats
+// but forgotten in mergeEffort silently breaks worker-count determinism;
+// this check turns that into a lint failure. Exempt names are validated
+// against the struct, so a renamed field cannot leave a stale exemption
+// behind.
+//
+// /stats and /metrics exhaustiveness is not linted: internal/serve
+// renders both from one counter table, and its stats_table_test.go fills
+// every Stats field with a distinct number and checks each one reaches
+// both endpoints.
 package statsmerge
 
 import (
@@ -31,14 +30,8 @@ import (
 
 var Analyzer = &lint.Analyzer{
 	Name: "statsmerge",
-	Doc:  "Stats merge functions and serve renderers must cover every exported counter field",
+	Doc:  "Stats merge functions must cover every exported counter field",
 	Run:  run,
-}
-
-// statsPackages are the package names whose *Stats structs the renderer
-// check tracks.
-var statsPackages = map[string]bool{
-	"core": true, "store": true, "join": true, "knn": true, "batch": true,
 }
 
 func run(pass *lint.Pass) error {
@@ -49,9 +42,6 @@ func run(pass *lint.Pass) error {
 				continue
 			}
 			checkMergeFunc(pass, file, fd)
-			if pass.Pkg.Name() == "serve" {
-				checkRenderer(pass, fd)
-			}
 		}
 	}
 	return nil
@@ -191,115 +181,4 @@ func fieldRefs(pass *lint.Pass, node ast.Node, fields []*types.Var) map[string]b
 		return true
 	})
 	return out
-}
-
-// checkRenderer enforces read-one-read-all for tracked Stats structs.
-func checkRenderer(pass *lint.Pass, fd *ast.FuncDecl) {
-	type usage struct {
-		refs  map[string]bool
-		whole bool
-	}
-	used := make(map[*types.Named]*usage)
-	get := func(n *types.Named) *usage {
-		u := used[n]
-		if u == nil {
-			u = &usage{refs: make(map[string]bool)}
-			used[n] = u
-		}
-		return u
-	}
-	tracked := func(t types.Type) *types.Named {
-		n := lint.Named(t)
-		if n == nil || n.Obj().Pkg() == nil {
-			return nil
-		}
-		if !statsPackages[n.Obj().Pkg().Name()] || !strings.HasSuffix(n.Obj().Name(), "Stats") {
-			return nil
-		}
-		if lint.StructOf(n) == nil {
-			return nil
-		}
-		return n
-	}
-	// wholeUse marks expressions whose full value flows onward — into a
-	// composite literal, a call argument, or the right side of an
-	// assignment/return. Call results are excluded: `st := x.Stats()`
-	// produces the value, it does not consume it.
-	wholeUse := func(e ast.Expr) {
-		e = ast.Unparen(e)
-		if _, isCall := e.(*ast.CallExpr); isCall {
-			return
-		}
-		if u, ok := e.(*ast.UnaryExpr); ok {
-			e = ast.Unparen(u.X)
-		}
-		tv, ok := pass.Info.Types[e]
-		if !ok {
-			return
-		}
-		if n := tracked(tv.Type); n != nil {
-			get(n).whole = true
-		}
-	}
-
-	ast.Inspect(fd.Body, func(node ast.Node) bool {
-		switch n := node.(type) {
-		case *ast.SelectorExpr:
-			if sel, ok := pass.Info.Selections[n]; ok && sel.Kind() == types.FieldVal {
-				if named := tracked(sel.Recv()); named != nil {
-					get(named).refs[n.Sel.Name] = true
-				}
-			}
-		case *ast.CompositeLit:
-			for _, elt := range n.Elts {
-				if kv, ok := elt.(*ast.KeyValueExpr); ok {
-					wholeUse(kv.Value)
-				} else {
-					wholeUse(elt)
-				}
-			}
-		case *ast.CallExpr:
-			for _, arg := range n.Args {
-				wholeUse(arg)
-			}
-		case *ast.AssignStmt:
-			for _, r := range n.Rhs {
-				wholeUse(r)
-			}
-		case *ast.ReturnStmt:
-			for _, r := range n.Results {
-				wholeUse(r)
-			}
-		}
-		return true
-	})
-
-	type finding struct {
-		named   *types.Named
-		missing []string
-	}
-	var findings []finding
-	for n, u := range used {
-		if u.whole || len(u.refs) == 0 {
-			continue
-		}
-		var missing []string
-		for _, f := range lint.ExportedFields(lint.StructOf(n)) {
-			if !u.refs[f.Name()] {
-				missing = append(missing, f.Name())
-			}
-		}
-		if len(missing) > 0 {
-			sort.Strings(missing)
-			findings = append(findings, finding{n, missing})
-		}
-	}
-	sort.Slice(findings, func(i, j int) bool {
-		return findings[i].named.Obj().Pkg().Name()+findings[i].named.Obj().Name() <
-			findings[j].named.Obj().Pkg().Name()+findings[j].named.Obj().Name()
-	})
-	for _, f := range findings {
-		pass.Reportf(fd.Name.Pos(), "%s renders %s.%s but omits field(s) %s: render every exported counter or pass the whole struct",
-			fd.Name.Name, f.named.Obj().Pkg().Name(), f.named.Obj().Name(), strings.Join(f.missing, ", "))
-	}
 }

@@ -8,5 +8,5 @@ import (
 )
 
 func TestStatsmerge(t *testing.T) {
-	analysistest.Run(t, statsmerge.Analyzer, "testdata", "core", "serve")
+	analysistest.Run(t, statsmerge.Analyzer, "testdata", "core")
 }
