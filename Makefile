@@ -12,7 +12,7 @@ include tools/versions.mk
 LINT_EXTERNAL ?= auto
 TOOLSBIN := $(CURDIR)/tools/bin
 
-.PHONY: build test bench bench-smoke fmt fmt-check vet race fuzz serve-smoke restart-smoke load-smoke cover loc profile lint motiflint tools-test lint-external
+.PHONY: build test bench bench-smoke fmt fmt-check vet race fuzz serve-smoke restart-smoke load-smoke cover loc profile lint motiflint tools-test servebench-vet lint-external
 
 build:
 	$(GO) build ./...
@@ -124,6 +124,13 @@ motiflint:
 # nested tools module; no third-party deps).
 tools-test:
 	cd tools && $(GO) test ./...
+
+# Compile and vet the servebench module (it replaces trajmotif with this
+# checkout), so a change to an internal API it builds on — serve.Backend,
+# which servebench/tracehost wraps — fails here rather than only when
+# the benchmark runs.
+servebench-vet:
+	cd servebench && $(GO) vet ./...
 
 # staticcheck + govulncheck at the versions pinned in tools/versions.mk.
 # `go install pkg@version` cleanly separates "tool unavailable" (offline:

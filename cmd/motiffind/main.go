@@ -186,9 +186,6 @@ func runCorpusPairs(dir string, xi, tau, window, workers int, maxDist float64, s
 		MaxDistance: maxDist,
 		IndexStats:  &ixs,
 	}
-	if maxDist > 0 {
-		opt.SpatialPrefilter = true
-	}
 	start := time.Now()
 	items, err := trajmotif.DiscoverAllPairsStream(src, xi, window, opt)
 	fatal(err)

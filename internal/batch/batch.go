@@ -16,7 +16,6 @@ package batch
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"trajmotif/internal/core"
 	"trajmotif/internal/group"
@@ -48,27 +47,24 @@ type Options struct {
 	// overrides Search.Workers unless that is set explicitly.
 	SearchWorkers int
 	// MaxDistance, when positive, drops pair results whose motif distance
-	// exceeds it from DiscoverAllPairsStream's output (error items are
-	// always kept) — the "pairs within range" workload that makes a
-	// spatial pre-filter meaningful.
+	// exceeds it from DiscoverAllPairs' and DiscoverAllPairsStream's
+	// output (error items are always kept) — the "pairs within range"
+	// workload. Pairs whose MBR MinDist already exceeds it skip the search
+	// entirely: any motif between them is at least that far apart, so the
+	// range filter would drop the result anyway, and the output is what
+	// searching every pair and filtering gives (stream_parity_test.go).
+	// Pairs too short to yield any candidate are still searched so their
+	// error items survive. The prefilter needs a ground distance with a
+	// known MBR bound (spatial.MinDistFor); under any other it stays off.
 	MaxDistance float64
-	// SpatialPrefilter lets DiscoverAllPairsStream skip dispatching pairs
-	// whose MBR MinDist already exceeds MaxDistance: any motif between
-	// them is at least that far apart, so the post-filter would drop the
-	// result anyway. Pairs too short to yield any candidate are still
-	// dispatched so their error items match the unfiltered run. Output is
-	// byte-identical with the flag on or off (stream_parity_test.go).
-	// Inactive unless MaxDistance > 0 and the ground distance has a known
-	// MBR bound (spatial.MinDistFor).
-	SpatialPrefilter bool
 	// IndexStats, when non-nil, receives the prefilter's effort counters
-	// after DiscoverAllPairsStream returns.
+	// after DiscoverAllPairs or DiscoverAllPairsStream returns.
 	IndexStats *IndexStats
 }
 
-// IndexStats counts spatial-prefilter activity in a streaming all-pairs
-// run: Consulted is the number of pairs the pre-filter examined, Pruned
-// how many it skipped before dispatch.
+// IndexStats counts spatial-prefilter activity in an all-pairs run:
+// Consulted is the number of pairs the pre-filter examined, Pruned how
+// many it skipped before dispatch.
 type IndexStats struct {
 	Consulted int64
 	Pruned    int64
@@ -110,33 +106,7 @@ func (o *Options) search() *core.Options {
 // independent searches over a bounded worker pool. Results are returned
 // in input order; per-trajectory errors are carried in the items.
 func Discover(ts []*traj.Trajectory, xi int, opt *Options) ([]Item, error) {
-	if xi < 0 {
-		return nil, fmt.Errorf("batch: negative minimum motif length %d", xi)
-	}
-	items := make([]Item, len(ts))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < opt.workers(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				t := ts[idx]
-				if t == nil || t.Len() == 0 {
-					items[idx] = Item{Index: idx, Err: fmt.Errorf("batch: nil or empty trajectory at %d", idx)}
-					continue
-				}
-				res, err := group.GTM(t, xi, opt.tau(), opt.search())
-				items[idx] = Item{Index: idx, Result: res, Err: err}
-			}
-		}()
-	}
-	for idx := range ts {
-		jobs <- idx
-	}
-	close(jobs)
-	wg.Wait()
-	return items, nil
+	return DiscoverStream(SliceSource(ts), xi, opt)
 }
 
 // PairItem is the outcome for one trajectory pair.
@@ -149,7 +119,8 @@ type PairItem struct {
 // DiscoverAllPairs runs the two-trajectory motif discovery on every
 // unordered pair of the inputs — the batched form of the paper's Figure 21
 // workload — over a bounded worker pool. Pairs are returned in (i, j)
-// lexicographic order.
+// lexicographic order. A nil or empty input fails the call before any
+// search runs.
 func DiscoverAllPairs(ts []*traj.Trajectory, xi int, opt *Options) ([]PairItem, error) {
 	if xi < 0 {
 		return nil, fmt.Errorf("batch: negative minimum motif length %d", xi)
@@ -159,30 +130,5 @@ func DiscoverAllPairs(ts []*traj.Trajectory, xi int, opt *Options) ([]PairItem, 
 			return nil, fmt.Errorf("batch: nil or empty trajectory at %d", k)
 		}
 	}
-	type job struct{ i, j, slot int }
-	var jobList []job
-	for i := 0; i < len(ts); i++ {
-		for j := i + 1; j < len(ts); j++ {
-			jobList = append(jobList, job{i: i, j: j, slot: len(jobList)})
-		}
-	}
-	items := make([]PairItem, len(jobList))
-	jobs := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < opt.workers(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for jb := range jobs {
-				res, err := group.GTMCross(ts[jb.i], ts[jb.j], xi, opt.tau(), opt.search())
-				items[jb.slot] = PairItem{I: jb.i, J: jb.j, Result: res, Err: err}
-			}
-		}()
-	}
-	for _, jb := range jobList {
-		jobs <- jb
-	}
-	close(jobs)
-	wg.Wait()
-	return items, nil
+	return DiscoverAllPairsStream(SliceSource(ts), xi, 0, opt)
 }

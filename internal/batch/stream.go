@@ -1,9 +1,9 @@
-// Streaming batch discovery: the out-of-core counterparts of Discover
-// and DiscoverAllPairs. Instead of a materialized []*traj.Trajectory,
-// they drain a Source — an iterator yielding one trajectory at a time —
-// and bound how many trajectories are resident, so a GeoLife-scale
-// corpus directory streams through discovery in O(window) memory while
-// results stay byte-identical to the slurp-based calls.
+// Streaming batch discovery: the one implementation behind Discover and
+// DiscoverAllPairs. Instead of a materialized []*traj.Trajectory, it
+// drains a Source — an iterator yielding one trajectory at a time — and
+// bounds how many trajectories are resident, so a GeoLife-scale corpus
+// directory streams through discovery in O(window) memory; the slice
+// entry points are the same calls over SliceSource.
 
 package batch
 
@@ -120,10 +120,9 @@ func DiscoverStream(src Source, xi int, opt *Options) ([]Item, error) {
 // (matching DiscoverAllPairs' up-front validation).
 //
 // With Options.MaxDistance set, only pairs whose motif distance is within
-// it are returned (error items always survive); with SpatialPrefilter
-// additionally set, pairs whose MBRs are provably farther apart than
-// MaxDistance skip the search entirely — see Options for the soundness
-// argument.
+// it are returned (error items always survive), and pairs whose MBRs are
+// provably farther apart than MaxDistance skip the search entirely — see
+// Options for the soundness argument.
 func DiscoverAllPairsStream(src Source, xi, window int, opt *Options) ([]PairItem, error) {
 	if xi < 0 {
 		return nil, fmt.Errorf("batch: negative minimum motif length %d", xi)
@@ -133,13 +132,11 @@ func DiscoverAllPairsStream(src Source, xi, window int, opt *Options) ([]PairIte
 	var minDist spatial.MinDistFunc
 	if opt != nil && opt.MaxDistance > 0 {
 		maxd = opt.MaxDistance
-		if opt.SpatialPrefilter {
-			df := opt.search().Dist
-			if df == nil {
-				df = geo.Haversine
-			}
-			minDist = spatial.MinDistFor(df) // nil for unknown metrics: no prefilter
+		df := opt.search().Dist
+		if df == nil {
+			df = geo.Haversine
 		}
+		minDist = spatial.MinDistFor(df) // nil for unknown metrics: no prefilter
 	}
 	type job struct {
 		i, j, slot int

@@ -7,6 +7,7 @@ import (
 
 	"trajmotif/internal/core"
 	"trajmotif/internal/geo"
+	"trajmotif/internal/group"
 	"trajmotif/internal/traj"
 )
 
@@ -37,31 +38,58 @@ func prefilterCorpus(r *rand.Rand) []*traj.Trajectory {
 	return ts
 }
 
-// TestAllPairsStreamPrefilterParity is the tentpole proof for batch:
-// with a MaxDistance cutoff, the spatially prefiltered stream returns
-// items byte-identical to the unfiltered stream for workers 1 and 4 and
-// windows 0/4, while the prefilter actually skips searches.
+// rangeReference is the all-pairs range query computed the long way:
+// group.GTMCross on every pair inside the residency window (window <= 0:
+// all pairs), then the MaxDistance filter, error items kept.
+func rangeReference(t *testing.T, ts []*traj.Trajectory, xi, window int, maxDist float64) []PairItem {
+	t.Helper()
+	var want []PairItem
+	for i := range ts {
+		for j := i + 1; j < len(ts); j++ {
+			if window > 0 && j-i >= window {
+				continue
+			}
+			res, err := group.GTMCross(ts[i], ts[j], xi, 32, &core.Options{Workers: 1})
+			if err == nil && res.Distance > maxDist {
+				continue
+			}
+			want = append(want, PairItem{I: i, J: j, Result: res, Err: err})
+		}
+	}
+	return scrubPairs(want)
+}
+
+// TestAllPairsStreamPrefilterParity: with a MaxDistance cutoff, the
+// spatially prefiltered all-pairs run returns exactly the pairs a search
+// of every pair plus the range filter keeps, for workers 1 and 4 and
+// windows 0/4 and through DiscoverAllPairs, while the prefilter actually
+// skips searches.
 func TestAllPairsStreamPrefilterParity(t *testing.T) {
 	r := rand.New(rand.NewSource(111))
 	ts := prefilterCorpus(r)
 	const xi, maxDist = 4, 50_000.0 // within-city motifs pass, cross-city pairs cannot
 
 	var prunedTotal int64
-	for _, workers := range []int{1, 4} {
-		for _, window := range []int{0, 4} {
-			base := &Options{Workers: workers, MaxDistance: maxDist}
-			want, err := DiscoverAllPairsStream(SliceSource(ts), xi, window, base)
-			if err != nil {
-				t.Fatal(err)
+	for _, window := range []int{0, 4} {
+		want := rangeReference(t, ts, xi, window, maxDist)
+		tooShort := 0
+		for _, it := range want {
+			if it.Err != nil {
+				tooShort++
 			}
+		}
+		if tooShort == 0 || tooShort == len(want) {
+			t.Fatalf("window=%d: reference has %d error items of %d; the corpus should mix both", window, tooShort, len(want))
+		}
+		for _, workers := range []int{1, 4} {
 			var ixs IndexStats
-			pre := &Options{Workers: workers, MaxDistance: maxDist, SpatialPrefilter: true, IndexStats: &ixs}
-			got, err := DiscoverAllPairsStream(SliceSource(ts), xi, window, pre)
+			opt := &Options{Workers: workers, MaxDistance: maxDist, IndexStats: &ixs}
+			got, err := DiscoverAllPairsStream(SliceSource(ts), xi, window, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(scrubPairs(got), scrubPairs(want)) {
-				t.Errorf("workers=%d window=%d: prefiltered items differ from unfiltered", workers, window)
+			if !reflect.DeepEqual(scrubPairs(got), want) {
+				t.Errorf("workers=%d window=%d: prefiltered items differ from the reference", workers, window)
 			}
 			if ixs.Consulted == 0 {
 				t.Errorf("workers=%d window=%d: prefilter never consulted", workers, window)
@@ -70,35 +98,28 @@ func TestAllPairsStreamPrefilterParity(t *testing.T) {
 			if window == 0 && ixs.Pruned == 0 {
 				t.Errorf("workers=%d window=0: cross-city pairs not pruned (consulted %d)", workers, ixs.Consulted)
 			}
-			// Every ErrTooShort pair must be present despite the prefilter.
-			for _, it := range got {
-				if it.Err == nil && it.Result == nil {
-					t.Fatalf("workers=%d window=%d: empty item %+v", workers, window, it)
-				}
+			if window != 0 {
+				continue
+			}
+			var slurp IndexStats
+			got, err = DiscoverAllPairs(ts, xi, &Options{Workers: workers, MaxDistance: maxDist, IndexStats: &slurp})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(scrubPairs(got), want) || slurp != ixs {
+				t.Errorf("workers=%d: DiscoverAllPairs differs from the reference (stats %+v, stream %+v)", workers, slurp, ixs)
 			}
 		}
 	}
 	if prunedTotal == 0 {
 		t.Error("prefilter never pruned a pair")
 	}
-
-	// MaxDistance without the prefilter still post-filters: no result
-	// beyond the cutoff survives.
-	items, err := DiscoverAllPairsStream(SliceSource(ts), xi, 0, &Options{MaxDistance: maxDist})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, it := range items {
-		if it.Err == nil && it.Result.Distance > maxDist {
-			t.Fatalf("post-filter leaked a %.0f m pair past the %.0f m cutoff", it.Result.Distance, maxDist)
-		}
-	}
 }
 
 // TestAllPairsStreamPrefilterInactive pins the degraded modes: zero
-// MaxDistance means no filtering at all, and an unrecognized ground
-// distance disables the prefilter (sound, never wrong) while the range
-// post-filter still applies.
+// MaxDistance means no filtering and no prefilter, and an unrecognized
+// ground distance disables the prefilter (sound, never wrong) while the
+// range post-filter still applies.
 func TestAllPairsStreamPrefilterInactive(t *testing.T) {
 	r := rand.New(rand.NewSource(112))
 	ts := prefilterCorpus(r)
@@ -108,12 +129,12 @@ func TestAllPairsStreamPrefilterInactive(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ixs IndexStats
-	noCut, err := DiscoverAllPairsStream(SliceSource(ts), 4, 0, &Options{SpatialPrefilter: true, IndexStats: &ixs})
+	noCut, err := DiscoverAllPairsStream(SliceSource(ts), 4, 0, &Options{IndexStats: &ixs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(scrubPairs(noCut), scrubPairs(plain)) {
-		t.Error("SpatialPrefilter without MaxDistance changed the output")
+		t.Error("IndexStats without MaxDistance changed the output")
 	}
 	if ixs.Consulted != 0 {
 		t.Errorf("prefilter consulted %d pairs with no cutoff", ixs.Consulted)
@@ -121,7 +142,7 @@ func TestAllPairsStreamPrefilterInactive(t *testing.T) {
 
 	custom := func(p, q geo.Point) float64 { return geo.Haversine(p, q) }
 	var ixs2 IndexStats
-	opts := &Options{MaxDistance: 50_000, SpatialPrefilter: true, IndexStats: &ixs2}
+	opts := &Options{MaxDistance: 50_000, IndexStats: &ixs2}
 	opts.Search = &core.Options{Dist: custom}
 	got, err := DiscoverAllPairsStream(SliceSource(ts), 4, 0, opts)
 	if err != nil {

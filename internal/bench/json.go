@@ -273,7 +273,7 @@ func BuildJSONReport(cfg Config) (*JSONReport, error) {
 	var ixs batch.IndexStats
 	start = time.Now()
 	items, err := batch.DiscoverAllPairsStream(batch.SliceSource(ts), jc.StreamXi, 0, &batch.Options{
-		Workers: 1, MaxDistance: jc.MaxDistance, SpatialPrefilter: true, IndexStats: &ixs,
+		Workers: 1, MaxDistance: jc.MaxDistance, IndexStats: &ixs,
 	})
 	if err != nil {
 		return nil, err

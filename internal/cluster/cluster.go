@@ -32,14 +32,6 @@ type Options struct {
 	// MinSize drops clusters with fewer members from the output; 0
 	// defaults to 2 (singletons are not patterns).
 	MinSize int
-	// EndpointDists optionally memoizes the endpoint ground distances
-	// the membership tests evaluate (point indexes into the subject
-	// trajectory). A supplier returning ok=false — or a nil field —
-	// falls back to direct evaluation. Suppliers must return the exact
-	// float64 direct evaluation produces (store.PointDists does:
-	// HaversinePrepared is bit-identical to Haversine), so memoized and
-	// unmemoized clusterings are byte-identical.
-	EndpointDists func(i, j int) (float64, bool)
 }
 
 func (o *Options) dist() geo.DistanceFunc {
@@ -107,11 +99,6 @@ func Subtrajectories(t *traj.Trajectory, window int, eps float64, opt *Options) 
 		cos = geo.CosLats(t.Points)
 	}
 	endp := func(i, j int) float64 {
-		if opt != nil && opt.EndpointDists != nil {
-			if d, ok := opt.EndpointDists(i, j); ok {
-				return d
-			}
-		}
 		if cos != nil {
 			return geo.HaversinePrepared(t.Points[i], t.Points[j], cos[i], cos[j])
 		}

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"trajmotif/internal/datagen"
@@ -141,42 +140,5 @@ func TestClustersSortedBySize(t *testing.T) {
 		if c.Size() < 2 {
 			t.Errorf("singleton cluster leaked: %+v", c)
 		}
-	}
-}
-
-// TestEndpointDistsSupplierParity: clustering with a memo supplier is
-// byte-identical to clustering without one, and a supplier that
-// declines (ok=false) falls back to direct evaluation rather than
-// changing the answer.
-func TestEndpointDistsSupplierParity(t *testing.T) {
-	tr := datagen.Baboon(datagen.Config{Seed: 16, N: 400})
-	base, err := Subtrajectories(tr, 12, 900, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	memoCalls := 0
-	memo, err := Subtrajectories(tr, 12, 900, &Options{
-		EndpointDists: func(i, j int) (float64, bool) {
-			memoCalls++
-			return geo.Haversine(tr.Points[i], tr.Points[j]), true
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(memo, base) {
-		t.Fatalf("memoized clustering diverged:\n got %+v\nwant %+v", memo, base)
-	}
-	if memoCalls == 0 {
-		t.Fatal("supplier never consulted")
-	}
-	declined, err := Subtrajectories(tr, 12, 900, &Options{
-		EndpointDists: func(i, j int) (float64, bool) { return 0, false },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(declined, base) {
-		t.Fatal("declining supplier changed the clustering")
 	}
 }

@@ -25,7 +25,6 @@ type Backend interface {
 	Dist() geo.DistanceFunc
 	IndexFor(ids []store.ID, ts []*traj.Trajectory) *spatial.Index
 	EndpointDists(ts []*traj.Trajectory) func(i, j int) (d0, dn float64, ok bool)
-	PointDists(pts []geo.Point) func(i, j int) (float64, bool)
 
 	// Observability surface.
 	Stats() store.Stats

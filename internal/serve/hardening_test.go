@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -113,6 +115,83 @@ func TestAdmissionClampAdmitsAlone(t *testing.T) {
 		t.Fatalf("oversized request on an idle server: charged %d ok %v, want 2 true", charged, ok)
 	}
 	a.release(charged)
+}
+
+// TestResolveWorkersClamp: a client-supplied worker count is clamped to
+// the admission capacity, or to GOMAXPROCS with admission off, before
+// any search sizes per-worker state by it. The server's own default is
+// the operator's choice and passes through.
+func TestResolveWorkersClamp(t *testing.T) {
+	const hostile = 2_000_000_000
+	srv := New(store.New(nil), &Options{Workers: 2, MaxConcurrentSearches: 3})
+	for _, c := range []struct{ req, want int }{{hostile, 3}, {4, 3}, {3, 3}, {1, 1}, {0, 2}, {-5, 2}} {
+		if got := srv.resolveWorkers(c.req); got != c.want {
+			t.Errorf("admission 3: resolveWorkers(%d) = %d, want %d", c.req, got, c.want)
+		}
+	}
+	if got := srv.searchWeight(hostile); got != 3 {
+		t.Errorf("admission 3: searchWeight(%d) = %d, want 3", hostile, got)
+	}
+	procs := runtime.GOMAXPROCS(0)
+	off := New(store.New(nil), &Options{MaxConcurrentSearches: -1})
+	if got := off.resolveWorkers(hostile); got != procs {
+		t.Errorf("admission off: resolveWorkers(%d) = %d, want GOMAXPROCS %d", hostile, got, procs)
+	}
+	if got := off.resolveWorkers(0); got != 0 {
+		t.Errorf("admission off: resolveWorkers(0) = %d, want the default 0", got)
+	}
+}
+
+// wallClockMs matches the response fields that carry wall-clock time.
+var wallClockMs = regexp.MustCompile(`"(precomputeMs|searchMs)":[-+0-9.e]+`)
+
+// TestOversizedWorkersSameBodies: requests asking for far more workers
+// than the server runs answer byte-identically to workers:1 on every
+// endpoint that takes a count, wall-clock fields aside. The oversized
+// value is moderate, so the comparison stays cheap even on a server
+// that would honour it.
+func TestOversizedWorkersSameBodies(t *testing.T) {
+	many := 64 * runtime.GOMAXPROCS(0)
+	a, b := fixture(t, 31, 90), fixture(t, 32, 70)
+	bodies := func(workers int) []string {
+		ts := httptest.NewServer(New(store.New(nil), nil))
+		defer ts.Close()
+		ida, idb := upload(t, ts, a), upload(t, ts, b)
+		reqs := []struct {
+			path string
+			body any
+		}{
+			{"/discover", discoverRequest{ID: ida, Xi: 8, Workers: workers}},
+			{"/discover", discoverRequest{ID: ida, ID2: idb, Xi: 8, Algo: "btm", Workers: workers}},
+			{"/topk", topkRequest{ID: ida, Xi: 8, K: 3, Workers: workers}},
+			{"/discover/pairs", discoverPairsRequest{IDs: []store.ID{ida, idb, ida}, Xi: 8, Workers: workers}},
+		}
+		var out []string
+		for _, r := range reqs {
+			raw, err := json.Marshal(r.body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(ts.URL+r.path, "application/json", bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			_, err = buf.ReadFrom(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s workers=%d: status %d err %v: %s", r.path, workers, resp.StatusCode, err, buf.String())
+			}
+			out = append(out, wallClockMs.ReplaceAllString(buf.String(), `"$1":0`))
+		}
+		return out
+	}
+	one, big := bodies(1), bodies(many)
+	for k := range one {
+		if one[k] != big[k] {
+			t.Errorf("request %d: workers=%d body differs from workers=1:\n%s\n%s", k, many, big[k], one[k])
+		}
+	}
 }
 
 // TestSemaphoreOverflow429: with capacity held, a search request is

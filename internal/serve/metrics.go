@@ -125,9 +125,9 @@ var statRows = [...]statRow{
 		func(v *statsSnapshot) any { return v.MaxTrajectories }},
 	{"trajectoryTTL", "motifserve_trajectory_ttl_seconds", "gauge", "Configured registry idle TTL (0 = disabled).",
 		func(v *statsSnapshot) any { return v.TrajectoryTTL }},
-	{"artifacts", "motifserve_cache_artifacts", "gauge", "Artifacts resident in the cache.",
+	{"artifacts", "motifserve_cache_artifacts", "gauge", "Artifacts resident in the cache, /join endpoint-memo entries included.",
 		func(v *statsSnapshot) any { return v.Artifacts }},
-	{"cacheBytes", "motifserve_cache_bytes", "gauge", "Bytes resident in the artifact cache.",
+	{"cacheBytes", "motifserve_cache_bytes", "gauge", "Bytes resident in the artifact cache, /join endpoint-memo entries included.",
 		func(v *statsSnapshot) any { return v.CacheBytes }},
 	{"cacheBudget", "motifserve_cache_budget_bytes", "gauge", "Configured artifact-cache byte budget.",
 		func(v *statsSnapshot) any { return v.CacheBudget }},
@@ -149,9 +149,9 @@ var statRows = [...]statRow{
 		func(v *statsSnapshot) any { return v.indexConsulted }},
 	{"indexPruned", "motifserve_index_pruned_total", "counter", "Candidates dismissed by the spatial index alone.",
 		func(v *statsSnapshot) any { return v.indexPruned }},
-	{"pairDistsBuilt", "motifserve_pair_dists_built_total", "counter", "Endpoint- and point-distance memo misses across /join and /cluster.",
+	{"pairDistsBuilt", "motifserve_pair_dists_built_total", "counter", "Endpoint-distance memo misses across /join.",
 		func(v *statsSnapshot) any { return v.PairDistsBuilt }},
-	{"pairDistsReused", "motifserve_pair_dists_reused_total", "counter", "Endpoint- and point-distance memo hits across /join and /cluster.",
+	{"pairDistsReused", "motifserve_pair_dists_reused_total", "counter", "Endpoint-distance memo hits across /join.",
 		func(v *statsSnapshot) any { return v.PairDistsReused }},
 	{"projectionFallbacks", "motifserve_projection_fallbacks_total", "counter", "Projected /join decision cells (or whole pairs) the certified error band could not decide, answered by the haversine.",
 		func(v *statsSnapshot) any { return v.projectionFallbacks }},

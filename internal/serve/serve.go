@@ -252,11 +252,26 @@ func (s *Server) searchWeight(workers int) int {
 // Backend returns the state backend the server fronts.
 func (s *Server) Backend() Backend { return s.st }
 
+// resolveWorkers picks a request's within-search worker count: the
+// request's own, clamped to workerCap, or the server default.
 func (s *Server) resolveWorkers(req int) int {
 	if req > 0 {
-		return req
+		return min(req, s.workerCap())
 	}
 	return s.workers
+}
+
+// workerCap bounds a client-supplied worker count: the admission
+// capacity, or GOMAXPROCS when admission is off. A search sizes
+// per-worker state and goroutines by its count, so an unclamped
+// {"workers": 2000000000} would allocate before doing any work. Results
+// are byte-identical for every count, so the clamp never changes an
+// answer.
+func (s *Server) workerCap() int {
+	if s.sem != nil {
+		return int(s.capacity)
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 // searchOptions builds the per-request search options: the store is the
@@ -711,12 +726,13 @@ func (s *Server) handleDiscoverPairs(w http.ResponseWriter, r *http.Request) {
 		ts[k] = t
 	}
 	// The pair pool is the parallel dimension here (within-search stays
-	// 1), so its width — req.Workers, 0 defaulting to GOMAXPROCS in the
-	// batch pool — is the admission weight.
+	// 1), so its width — req.Workers, 0 defaulting to GOMAXPROCS, clamped
+	// to workerCap — is the admission weight.
 	poolWidth := req.Workers
 	if poolWidth <= 0 {
 		poolWidth = runtime.GOMAXPROCS(0)
 	}
+	poolWidth = min(poolWidth, s.workerCap())
 	release, ok := s.admitWeight(w, poolWidth)
 	if !ok {
 		return
@@ -725,7 +741,7 @@ func (s *Server) handleDiscoverPairs(w http.ResponseWriter, r *http.Request) {
 	items, err := batch.DiscoverAllPairs(ts, req.Xi, &batch.Options{
 		Search:  s.searchOptions(1, 0), // within-search stays 1: the pair pool parallelizes
 		Tau:     req.Tau,
-		Workers: req.Workers,
+		Workers: poolWidth,
 	})
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -938,11 +954,6 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	clusters, err := cluster.Subtrajectories(t, req.Window, req.Eps, &cluster.Options{
 		Dist: s.st.Dist(), Stride: req.Stride, MinSize: req.MinSize,
-		// Route the per-window endpoint rejections through the store's
-		// point-distance memo — byte-identical values (HaversinePrepared
-		// is bit-identical to Haversine), so repeat /cluster calls skip
-		// the ground-distance evaluations without changing one byte.
-		EndpointDists: s.st.PointDists(t.Points),
 	})
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)

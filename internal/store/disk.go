@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -12,8 +11,8 @@ import (
 )
 
 // The disk artifact tier (Options.ArtifactDir): a content-addressed
-// directory of artifact files behind the RAM LRU. Every artifact the
-// store builds is written through to disk, so a RAM eviction is a
+// directory of artifact files behind the RAM LRU. Every grid and bound
+// table the store builds is written through to disk, so a RAM eviction is a
 // demotion for free (the disk copy already exists) and a cache miss
 // checks disk before recomputing; a promotion counts as a reuse, which
 // is what makes a warm restart byte-identical — results and
@@ -55,13 +54,14 @@ type diskTier struct {
 }
 
 // kindNames is the filename vocabulary; parseArtifactName inverts it.
+// kindPairDists has no name: the join's endpoint memo stays in RAM, and
+// a pairdists- or pointdists- file an older build left behind fails to
+// parse, so the startup scan removes it.
 var kindNames = map[artifactKind]string{
 	kindSelfGrid:    "selfgrid",
 	kindCrossGrid:   "crossgrid",
 	kindSelfBounds:  "selfbounds",
 	kindCrossBounds: "crossbounds",
-	kindPairDists:   "pairdists",
-	kindPointDists:  "pointdists",
 }
 
 // artifactFileName is the canonical key → filename mapping.
@@ -242,27 +242,6 @@ func verifyArtifact(data []byte, name string) ([]byte, error) {
 // removeArtifact deletes one artifact file (trajectory purges).
 func (d *diskTier) removeArtifact(k artifactKey) {
 	os.Remove(filepath.Join(d.dir, artifactFileName(k)))
-}
-
-// encodeFloats / decodeFloats serialize the small fixed-arity memo
-// payloads (pair endpoint distances, point-pair distances).
-func encodeFloats(vals ...float64) []byte {
-	out := make([]byte, 0, 8*len(vals))
-	for _, v := range vals {
-		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
-	}
-	return out
-}
-
-func decodeFloats(data []byte, n int) ([]float64, error) {
-	if len(data) != 8*n {
-		return nil, fmt.Errorf("store: %d bytes for a %d-float payload", len(data), n)
-	}
-	out := make([]float64, n)
-	for k := range out {
-		out[k] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*k:]))
-	}
-	return out, nil
 }
 
 // --- Store-side index maintenance, under Store.mu ---

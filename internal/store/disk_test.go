@@ -1,6 +1,7 @@
 package store
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"math"
 	"os"
@@ -268,6 +269,37 @@ func TestDiskFaultInjection(t *testing.T) {
 		}
 	})
 
+	// Distance-memo files an older build spilled (the join's pair memo
+	// and the retired cluster point memo) no longer name a kind: the
+	// startup scan reaps them like any other unparseable .art file, even
+	// though their containers are intact.
+	t.Run("memo-files", func(t *testing.T) {
+		dir := t.TempDir()
+		a, b := string(hashPoints(pts)), string(hashPoints(smallPoints(5)))
+		names := []string{
+			"pairdists-" + a + "-" + b + "-0" + artifactExt,
+			"pointdists-" + a + "-self-8589934599" + artifactExt,
+		}
+		for _, name := range names {
+			buf := append([]byte(artifactMagic), byte(len(name)), byte(len(name)>>8))
+			buf = append(buf, name...)
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(123.5))
+			sum := sha256.Sum256(buf)
+			if err := os.WriteFile(filepath.Join(dir, name), append(buf, sum[:]...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s := New(&Options{ArtifactDir: dir})
+		if st := s.Stats(); st.DiskErrors != int64(len(names)) || st.DiskArtifacts != 0 {
+			t.Fatalf("memo files not reaped: %+v", st)
+		}
+		for _, name := range names {
+			if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+				t.Fatalf("%s survived the scan", name)
+			}
+		}
+	})
+
 	// Files from before the format change are recomputable caches: the
 	// next discover must rebuild them and answer exactly as a store that
 	// never saw them.
@@ -464,55 +496,5 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	s2 := New(nil)
 	if n, err := s2.Restore(filepath.Join(dir, "absent.snap")); n != 0 || err != nil {
 		t.Fatalf("missing snapshot: n=%d err=%v", n, err)
-	}
-}
-
-// TestPointDistsMemo: the intra-trajectory point-distance memo returns
-// the exact direct evaluations, hits on repeats and symmetric queries,
-// and spills/promotes through the disk tier like every other artifact.
-func TestPointDistsMemo(t *testing.T) {
-	dir := t.TempDir()
-	pts := smallPoints(9)
-	s := New(&Options{ArtifactDir: dir})
-	pd := s.PointDists(pts)
-	if pd == nil {
-		t.Fatal("PointDists returned nil with caching on")
-	}
-	d, ok := pd(2, 7)
-	if !ok || d != geo.Haversine(pts[2], pts[7]) {
-		t.Fatalf("memo value %v differs from direct evaluation", d)
-	}
-	if d2, ok := pd(7, 2); !ok || d2 != d {
-		t.Fatal("symmetric query missed the memo")
-	}
-	st := s.Stats()
-	if st.PairDistsBuilt != 1 || st.PairDistsReused != 1 {
-		t.Fatalf("memo accounting off: %+v", st)
-	}
-	if st.DiskWrites != 1 {
-		t.Fatalf("point-dist memo never spilled: %+v", st)
-	}
-
-	// Fresh store, same dir: the memo promotes from disk.
-	s2 := New(&Options{ArtifactDir: dir})
-	pd2 := s2.PointDists(pts)
-	if d2, ok := pd2(2, 7); !ok || d2 != d {
-		t.Fatalf("promoted memo value %v differs", d2)
-	}
-	st2 := s2.Stats()
-	if st2.DiskReads != 1 || st2.PairDistsReused != 1 || st2.PairDistsBuilt != 0 {
-		t.Fatalf("promotion accounting off: %+v", st2)
-	}
-
-	// Out-of-range indexes report a miss rather than panicking.
-	if _, ok := pd(-1, 3); ok {
-		t.Fatal("negative index served")
-	}
-	if _, ok := pd(0, len(pts)); ok {
-		t.Fatal("out-of-range index served")
-	}
-	// Disabled cache: nil supplier, as documented.
-	if New(&Options{CacheBytes: -1}).PointDists(pts) != nil {
-		t.Fatal("disabled cache returned a supplier")
 	}
 }

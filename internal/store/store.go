@@ -67,8 +67,8 @@ type Options struct {
 	// every registry access — the check is O(1) when nothing expired —
 	// and purge their artifacts like Remove. Zero or negative disables.
 	TrajectoryTTL time.Duration
-	// ArtifactDir enables the disk artifact tier: every artifact the
-	// store builds is also written (atomically, checksummed) to a
+	// ArtifactDir enables the disk artifact tier: every grid and bound
+	// table the store builds is also written (atomically, checksummed) to a
 	// content-addressed file under this directory, cache misses promote
 	// from disk before recomputing, and trajectory evictions purge disk
 	// copies alongside RAM ones. Empty disables the tier. A directory
@@ -97,6 +97,8 @@ type Stats struct {
 	// Trajectories currently registered.
 	Trajectories int
 	// Artifacts resident in the cache and their total byte footprint.
+	// Both include /join's endpoint-pair memo entries (16 bytes each)
+	// next to the grids and bound tables.
 	Artifacts  int
 	CacheBytes int64
 	// CacheBudget is the configured byte budget (<= 0: caching off).
@@ -113,10 +115,9 @@ type Stats struct {
 	// registry by the MaxTrajectories cap and the TrajectoryTTL expiry
 	// respectively (Removed covers the manual cause).
 	EvictedLRU, EvictedTTL int64
-	// PairDistsBuilt and PairDistsReused count endpoint- and
-	// point-distance memo misses and hits (EndpointDists, PointDists). A
-	// hit saves the ground-distance evaluations of the join's filter
-	// cascade or of a cluster membership test.
+	// PairDistsBuilt and PairDistsReused count endpoint-distance memo
+	// misses and hits (EndpointDists, behind /join). A hit saves the two
+	// endpoint ground-distance evaluations of the join's filter cascade.
 	PairDistsBuilt, PairDistsReused int64
 	// MaxTrajectories and TrajectoryTTL echo the configured policy
 	// (zero: unbounded / no expiry).
@@ -150,14 +151,9 @@ const (
 	// kindPairDists memoizes the two endpoint ground distances of a
 	// trajectory pair (first-to-first, last-to-last) — the values the
 	// join's filter cascade recomputes for every candidate pair. 16
-	// bytes against the same budget as the grids.
+	// bytes against the same budget as the grids, held in RAM only: the
+	// disk tier has no file name for this kind.
 	kindPairDists
-	// kindPointDists memoizes one ground distance between two points of
-	// a single trajectory — the endpoint values cluster membership
-	// tests recompute for every candidate window. The point indexes are
-	// packed into the key's xi field (i<<32 | j, canonical i <= j).
-	// 8 bytes against the same budget as the grids.
-	kindPointDists
 )
 
 // artifactKey identifies one memoized artifact. b is empty for self
@@ -735,13 +731,13 @@ func (s *Store) Artifacts(req core.ArtifactRequest) (*dmatrix.Matrix, *bounds.Re
 // EndpointDists returns a memoizing supplier of per-pair endpoint ground
 // distances in the shape join.Options.EndpointDists consumes: given
 // positions i, j into ts it returns df(a[0], b[0]) and
-// df(a[n-1], b[m-1]), serving repeats from the artifact cache under the
+// df(a[n-1], b[m-1]), serving repeats from the RAM cache under the
 // point-content pair key — the same key space evictLocked purges, in
 // canonical ID order (the ground distance is symmetric, so both
-// orientations share one entry). Cached values are the exact float64s
-// direct evaluation produces, so join results and counters are
-// byte-identical with or without the memo. Returns nil when caching is
-// disabled.
+// orientations share one entry). Entries are never written to the disk
+// tier. Cached values are the exact float64s direct evaluation
+// produces, so join results and counters are byte-identical with or
+// without the memo. Returns nil when caching is disabled.
 func (s *Store) EndpointDists(ts []*traj.Trajectory) func(i, j int) (d0, dn float64, ok bool) {
 	if s.budget <= 0 {
 		return nil
@@ -761,116 +757,15 @@ func (s *Store) EndpointDists(ts []*traj.Trajectory) func(i, j int) (d0, dn floa
 			s.mu.Unlock()
 			return d[0], d[1], true
 		}
-		onDisk := s.diskHasLocked(k)
 		s.mu.Unlock()
-		if onDisk {
-			if d, ok := s.promotePair(k, 2); ok {
-				return d[0], d[1], true
-			}
-		}
 		a, b := ts[i].Points, ts[j].Points
 		d0 := s.df(a[0], b[0])
 		dn := s.df(a[len(a)-1], b[len(b)-1])
-		size := s.spill(k, encodeFloats(d0, dn))
 		s.mu.Lock()
 		s.pairsBuilt++
 		s.insertLocked(k, [2]float64{d0, dn}, 16)
-		if size >= 0 {
-			s.diskRecordLocked(k, size)
-		} else if s.disk != nil {
-			s.diskErrors++
-		}
 		s.mu.Unlock()
 		return d0, dn, true
-	}
-}
-
-// promotePair loads an n-float distance memo from the disk tier into the
-// RAM cache, counting it as a pair-memo reuse (the same equivalence the
-// grid promotion path relies on). A failed read or decode drops the
-// index entry and reports a miss so the caller recomputes.
-func (s *Store) promotePair(k artifactKey, n int) ([]float64, bool) {
-	payload, err := s.disk.readArtifact(k)
-	var vals []float64
-	if err == nil {
-		vals, err = decodeFloats(payload, n)
-		if err != nil {
-			s.disk.removeArtifact(k)
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err != nil {
-		s.diskDropLocked(k)
-		return nil, false
-	}
-	s.pairsReused++
-	s.diskReads++
-	switch n {
-	case 1:
-		s.insertLocked(k, vals[0], 8)
-	case 2:
-		s.insertLocked(k, [2]float64{vals[0], vals[1]}, 16)
-	}
-	return vals, true
-}
-
-// PointDists returns a memoizing supplier of intra-trajectory point
-// ground distances in the shape cluster.Options.EndpointDists consumes:
-// given point indexes i, j into pts it returns df(pts[i], pts[j]),
-// serving repeats from the artifact cache under the trajectory's
-// point-content ID with the canonical (min, max) index pair packed into
-// the key — the same key space evictLocked purges. Cached values are
-// the exact float64s direct evaluation produces (HaversinePrepared is
-// bit-identical to Haversine), so cluster results are byte-identical
-// with or without the memo. Returns nil when caching is disabled.
-func (s *Store) PointDists(pts []geo.Point) func(i, j int) (float64, bool) {
-	if s.budget <= 0 || len(pts) == 0 {
-		return nil
-	}
-	var once sync.Once
-	var pid ID
-	return func(i, j int) (float64, bool) {
-		if i > j {
-			i, j = j, i
-		}
-		if i < 0 || j >= len(pts) || j >= 1<<31 {
-			// Out of range (caller bug) or unpackable into the key:
-			// compute directly, uncached — correct, just unmemoized.
-			if i < 0 || j >= len(pts) {
-				return 0, false
-			}
-			return s.df(pts[i], pts[j]), true
-		}
-		once.Do(func() { pid = hashPoints(pts) })
-		k := artifactKey{kind: kindPointDists, a: pid, xi: i<<32 | j}
-		s.mu.Lock()
-		if e, ok := s.cache[k]; ok {
-			d := e.val.(float64)
-			s.lru.MoveToFront(e.elem)
-			s.pairsReused++
-			s.mu.Unlock()
-			return d, true
-		}
-		onDisk := s.diskHasLocked(k)
-		s.mu.Unlock()
-		if onDisk {
-			if d, ok := s.promotePair(k, 1); ok {
-				return d[0], true
-			}
-		}
-		d := s.df(pts[i], pts[j])
-		size := s.spill(k, encodeFloats(d))
-		s.mu.Lock()
-		s.pairsBuilt++
-		s.insertLocked(k, d, 8)
-		if size >= 0 {
-			s.diskRecordLocked(k, size)
-		} else if s.disk != nil {
-			s.diskErrors++
-		}
-		s.mu.Unlock()
-		return d, true
 	}
 }
 

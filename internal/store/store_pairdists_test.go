@@ -2,8 +2,11 @@ package store
 
 import (
 	"math"
+	"os"
+	"reflect"
 	"testing"
 
+	"trajmotif/internal/core"
 	"trajmotif/internal/geo"
 	"trajmotif/internal/join"
 	"trajmotif/internal/traj"
@@ -75,5 +78,69 @@ func TestEndpointDistsMemo(t *testing.T) {
 	off := New(&Options{CacheBytes: -1})
 	if off.EndpointDists(ts) != nil {
 		t.Error("EndpointDists should be nil with caching disabled")
+	}
+}
+
+// TestJoinMemoStaysInRAM: a /join-shaped run over a store with the disk
+// tier on fills the endpoint memo in RAM only. Every disk write is a
+// grid or bound table (DiskWrites == Built), the join adds no file, and
+// the pair entries show up in Artifacts instead.
+func TestJoinMemoStaysInRAM(t *testing.T) {
+	dir := t.TempDir()
+	s := New(&Options{ArtifactDir: dir})
+	ts := []*traj.Trajectory{fixture(t, 1, 40), fixture(t, 2, 30), fixture(t, 3, 20), fixture(t, 4, 25)}
+	ids := make([]ID, len(ts))
+	for k, tr := range ts {
+		id, _, err := s.Add(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[k] = id
+	}
+	// One discover first, so the tier holds grids the join must leave
+	// alone.
+	if _, err := core.BTM(ts[0], 5, &core.Options{Workers: 1, Artifacts: s}); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats()
+	if before.DiskWrites == 0 || before.DiskWrites != before.Built {
+		t.Fatalf("discover did not spill its artifacts: %+v", before)
+	}
+
+	want, wst, err := join.Join(ts, 5e5, &join.Options{Exact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		got, gst, err := join.Join(ts, 5e5, &join.Options{
+			Exact: true, Index: s.IndexFor(ids, ts), EndpointDists: s.EndpointDists(ts),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) || gst.Reported != wst.Reported || gst.EndpointPruned != wst.EndpointPruned {
+			t.Fatalf("round %d: memoized join diverged: %+v %+v vs %+v %+v", round, got, gst, want, wst)
+		}
+	}
+
+	after := s.Stats()
+	if after.PairDistsBuilt == 0 || after.PairDistsReused == 0 {
+		t.Fatalf("join never used the memo: %+v", after)
+	}
+	if after.DiskWrites != after.Built || after.DiskWrites != before.DiskWrites {
+		t.Fatalf("join wrote to disk: before %+v after %+v", before, after)
+	}
+	if after.DiskArtifacts != before.DiskArtifacts || after.DiskBytes != before.DiskBytes {
+		t.Fatalf("join changed the disk tier: before %+v after %+v", before, after)
+	}
+	if got := int64(after.Artifacts - before.Artifacts); got != after.PairDistsBuilt {
+		t.Fatalf("Artifacts grew by %d, want the %d pair entries", got, after.PairDistsBuilt)
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != before.DiskArtifacts {
+		t.Fatalf("%d files on disk, want %d", len(files), before.DiskArtifacts)
 	}
 }

@@ -306,7 +306,7 @@ type (
 	// BatchOptions tunes worker count, τ and per-search options.
 	BatchOptions = batch.Options
 	// BatchIndexStats receives the spatial prefilter's effort counters
-	// from a streaming all-pairs run (BatchOptions.IndexStats).
+	// from an all-pairs run (BatchOptions.IndexStats).
 	BatchIndexStats = batch.IndexStats
 )
 
@@ -316,6 +316,8 @@ func DiscoverBatch(ts []*Trajectory, minLength int, opt *BatchOptions) ([]BatchI
 }
 
 // DiscoverAllPairs runs two-trajectory discovery on every unordered pair.
+// A positive BatchOptions.MaxDistance keeps only the pairs within it and
+// skips pairs whose bounding boxes are provably farther apart.
 func DiscoverAllPairs(ts []*Trajectory, minLength int, opt *BatchOptions) ([]BatchPairItem, error) {
 	return batch.DiscoverAllPairs(ts, minLength, opt)
 }
