@@ -10,8 +10,6 @@
 //	motifbench -json BENCH.json                # machine-readable counters
 //	motifbench -json BENCH.json -cpuprofile cpu.out -memprofile mem.out
 //
-// -projected=false turns the -json join's projected decision kernel off
-// and measures the haversine oracle alone.
 // -cpuprofile/-memprofile write pprof profiles of the run (`make
 // profile` wraps this).
 //
@@ -42,7 +40,6 @@ func main() {
 	corpus := flag.String("corpus", "", "trajectory corpus directory for experiment C1 (.plt/.csv/.mcsv/.ndjson/.jsonl, streamed in bounded memory)")
 	corpusXi := flag.Int("corpus-xi", 0, "minimum motif length for -corpus runs; 0 selects the default (8)")
 	jsonOut := flag.String("json", "", "run the fixed deterministic workload and write a machine-readable counter report to this file instead of tables (CI diffs it against the checked-in BENCH_*.json baseline)")
-	projected := flag.Bool("projected", true, "route the -json join through the projected decision kernel, cross-checked in-run against the haversine oracle; =false measures the oracle alone")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file (inspect with go tool pprof)")
 	list := flag.Bool("list", false, "list experiments and exit")
@@ -62,7 +59,6 @@ func main() {
 		Workers:     *workers,
 		CorpusDir:   *corpus,
 		CorpusXi:    *corpusXi,
-		Projected:   *projected,
 	}
 	if *cache {
 		cfg.Artifacts = trajmotif.NewStore(nil)

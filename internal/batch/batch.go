@@ -5,7 +5,7 @@
 // returns results identical to the sequential one.
 //
 // Parallelism is split in two layers: Workers bounds across-trajectory
-// concurrency (this package's pool), and SearchWorkers bounds
+// concurrency (this package's pool), and Search.Workers bounds
 // within-search concurrency (internal/core's sharded subset sweep).
 // Inside a batch the within-search default is 1 — with many independent
 // trajectories the outer pool already saturates the cores and avoids
@@ -35,17 +35,15 @@ type Item struct {
 
 // Options tunes a batch run.
 type Options struct {
-	// Search options applied to every trajectory.
+	// Search options applied to every trajectory. Search.Workers bounds
+	// within-search concurrency; 0 selects 1 (see the package comment on
+	// the split), not core's GOMAXPROCS default.
 	Search *core.Options
 	// Tau is the GTM initial group size; 0 selects 32 (the paper's
 	// default).
 	Tau int
 	// Workers bounds across-trajectory concurrency; 0 selects GOMAXPROCS.
 	Workers int
-	// SearchWorkers bounds within-search concurrency for each individual
-	// discovery; 0 selects 1 (see the package comment on the split). It
-	// overrides Search.Workers unless that is set explicitly.
-	SearchWorkers int
 	// MaxDistance, when positive, drops pair results whose motif distance
 	// exceeds it from DiscoverAllPairs' and DiscoverAllPairsStream's
 	// output (error items are always kept) — the "pairs within range"
@@ -95,9 +93,6 @@ func (o *Options) search() *core.Options {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 1
-		if o != nil && o.SearchWorkers > 0 {
-			c.Workers = o.SearchWorkers
-		}
 	}
 	return &c
 }

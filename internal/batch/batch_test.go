@@ -136,12 +136,13 @@ func TestOptionDefaults(t *testing.T) {
 	if o.tau() != 8 || o.workers() != 3 {
 		t.Error("explicit options ignored")
 	}
-	o = &Options{SearchWorkers: 2}
-	if s := o.search(); s.Workers != 2 {
-		t.Errorf("SearchWorkers not threaded: got %d", s.Workers)
+	o = &Options{Search: &core.Options{}}
+	if s := o.search(); s.Workers != 1 {
+		t.Errorf("zero Search.Workers = %d, want within-search workers pinned to 1", s.Workers)
 	}
-	o = &Options{SearchWorkers: 2, Search: &core.Options{Workers: 5}}
-	if s := o.search(); s.Workers != 5 {
-		t.Errorf("explicit Search.Workers should win: got %d", s.Workers)
+	search := &core.Options{Workers: 5}
+	o = &Options{Search: search}
+	if s := o.search(); s.Workers != 5 || s == search {
+		t.Errorf("Search.Workers not threaded into a private copy: got %d (same pointer %v)", s.Workers, s == search)
 	}
 }

@@ -103,9 +103,10 @@ func TestDiscoverStreamCorpusParity(t *testing.T) {
 	}
 }
 
-// TestDiscoverStreamMatchesDiscover checks parity on synthetic inputs,
-// including the nil/empty item error convention.
-func TestDiscoverStreamMatchesDiscover(t *testing.T) {
+// TestDiscoverStreamItemErrors pins the per-item error convention under
+// a serial and a parallel pool: a nil member yields an error item at its
+// own index, and its neighbours still get results in input order.
+func TestDiscoverStreamItemErrors(t *testing.T) {
 	ts := []*traj.Trajectory{
 		datagen.GeoLife(datagen.Config{Seed: 1, N: 80}),
 		nil,
@@ -113,17 +114,17 @@ func TestDiscoverStreamMatchesDiscover(t *testing.T) {
 		datagen.Baboon(datagen.Config{Seed: 3, N: 80}),
 	}
 	for _, workers := range []int{1, 4} {
-		opt := &Options{Workers: workers}
-		want, err := Discover(ts, 4, opt)
+		items, err := DiscoverStream(SliceSource(ts), 4, &Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DiscoverStream(SliceSource(ts), 4, opt)
-		if err != nil {
-			t.Fatal(err)
+		if len(items) != len(ts) {
+			t.Fatalf("workers=%d: %d items for %d inputs", workers, len(items), len(ts))
 		}
-		if !reflect.DeepEqual(scrubItems(got), scrubItems(want)) {
-			t.Errorf("workers=%d: stream items differ from slurp items", workers)
+		for k, it := range items {
+			if it.Index != k || (it.Err != nil) != (k == 1) || (it.Result == nil) != (k == 1) {
+				t.Errorf("workers=%d: item %d = {Index %d, Err %v, Result nil %v}", workers, k, it.Index, it.Err, it.Result == nil)
+			}
 		}
 	}
 
@@ -168,9 +169,9 @@ func TestDiscoverStreamSourceError(t *testing.T) {
 	}
 }
 
-// TestDiscoverAllPairsStreamParity: an unbounded window reproduces
-// DiscoverAllPairs exactly; a bounded window yields exactly the pairs
-// within it.
+// TestDiscoverAllPairsStreamParity: a window holding every input
+// reproduces DiscoverAllPairs (the unbounded window) exactly; a bounded
+// window yields exactly the pairs within it.
 func TestDiscoverAllPairsStreamParity(t *testing.T) {
 	ts := []*traj.Trajectory{
 		datagen.GeoLife(datagen.Config{Seed: 1, N: 60}),
@@ -185,7 +186,7 @@ func TestDiscoverAllPairsStreamParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		scrubPairs(want)
-		for _, window := range []int{0, len(ts), len(ts) + 3} {
+		for _, window := range []int{len(ts), len(ts) + 3} {
 			got, err := DiscoverAllPairsStream(SliceSource(ts), 4, window, opt)
 			if err != nil {
 				t.Fatal(err)

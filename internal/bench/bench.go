@@ -61,10 +61,6 @@ type Config struct {
 	// DefaultCorpusXi).
 	CorpusDir string
 	CorpusXi  int
-	// Projected routes the JSON workload's join through the projected
-	// decision kernel (byte-identical, verified in-run against the
-	// haversine oracle). DefaultConfig enables it.
-	Projected bool
 }
 
 // opts stamps the run's worker count and artifact source onto o (nil o
@@ -81,7 +77,7 @@ func (c Config) opts(o *core.Options) *core.Options {
 
 // DefaultConfig returns the small-scale configuration.
 func DefaultConfig() Config {
-	return Config{Scale: ScaleSmall, Seed: 42, BruteBudget: 15 * time.Second, Projected: true}
+	return Config{Scale: ScaleSmall, Seed: 42, BruteBudget: 15 * time.Second}
 }
 
 func (c Config) lengths() []int {

@@ -12,12 +12,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"reflect"
 	"time"
 
 	"trajmotif/internal/batch"
 	"trajmotif/internal/core"
 	"trajmotif/internal/datagen"
+	"trajmotif/internal/geo"
 	"trajmotif/internal/group"
 	"trajmotif/internal/join"
 	"trajmotif/internal/knn"
@@ -88,10 +88,10 @@ type JSONKNNRun struct {
 }
 
 // JSONJoinRun is the indexed similarity join over the mixed corpus. The
-// join runs through the projected decision kernel with the unprojected
-// join as in-process oracle (BuildJSONReport errors on any divergence),
-// so ProjectionFallbacks — cells the certified error band could not
-// decide — is itself a pinned counter.
+// join runs through the projected decision kernel with the haversine
+// decision on every pair as in-process oracle (BuildJSONReport errors on
+// any divergence), so ProjectionFallbacks — cells the certified error
+// band could not decide — is itself a pinned counter.
 type JSONJoinRun struct {
 	Pairs               int64   `json:"pairs"`
 	EndpointPruned      int64   `json:"endpointPruned"`
@@ -234,29 +234,17 @@ func BuildJSONReport(cfg Config) (*JSONReport, error) {
 		rep.KNN.Distances = append(rep.KNN.Distances, nb.Distance)
 	}
 
-	// Indexed join at city radius, through the projected kernel with the
-	// unprojected join as oracle: pairs and shared counters must agree
-	// byte for byte, and the fallback count is pinned in the report.
-	// cfg.Projected=false (motifbench -projected=false) skips the
-	// projected leg and reports the oracle alone.
-	plainPairs, jst, err := join.Join(ts, jc.JoinEps, &join.Options{Index: ix})
+	// Indexed join at city radius (the decision DP runs through the
+	// projected kernel), checked in-run against the haversine decision on
+	// every pair; the fallback count is pinned in the report.
+	start = time.Now()
+	pairs, jst, err := join.Join(ts, jc.JoinEps, &join.Options{Index: ix})
 	if err != nil {
 		return nil, err
 	}
-	wall := time.Duration(0)
-	var fallbacks int64
-	if cfg.Projected {
-		start = time.Now()
-		projPairs, pst, err := join.Join(ts, jc.JoinEps, &join.Options{Index: ix, Projected: true})
-		if err != nil {
-			return nil, err
-		}
-		wall = time.Since(start)
-		fallbacks = pst.ProjectionFallbacks
-		pst.ProjectionFallbacks = 0
-		if !reflect.DeepEqual(plainPairs, projPairs) || jst != pst {
-			return nil, fmt.Errorf("bench json: projected join diverged from haversine oracle")
-		}
+	wall := time.Since(start)
+	if err := checkJoinPairs(ts, jc.JoinEps, pairs); err != nil {
+		return nil, err
 	}
 	rep.Join = JSONJoinRun{
 		Pairs:               jst.Pairs,
@@ -265,7 +253,7 @@ func BuildJSONReport(cfg Config) (*JSONReport, error) {
 		DecisionRejected:    jst.DecisionRejected,
 		Reported:            jst.Reported,
 		IndexPruned:         jst.IndexPruned,
-		ProjectionFallbacks: fallbacks,
+		ProjectionFallbacks: jst.ProjectionFallbacks,
 		WallMS:              ms(wall),
 	}
 
@@ -312,6 +300,28 @@ func BuildJSONReport(cfg Config) (*JSONReport, error) {
 		WallMS:              ms(time.Since(start)),
 	}
 	return rep, nil
+}
+
+// checkJoinPairs is the join's brute-force oracle: the reported pairs
+// must be exactly the pairs (i < j, lexicographic order) that the
+// haversine decision DP accepts at eps.
+func checkJoinPairs(ts []*traj.Trajectory, eps float64, pairs []join.Pair) error {
+	k := 0
+	for i := range ts {
+		for j := i + 1; j < len(ts); j++ {
+			if !join.DFDWithin(ts[i].Points, ts[j].Points, geo.Haversine, eps) {
+				continue
+			}
+			if k >= len(pairs) || pairs[k].I != i || pairs[k].J != j {
+				return fmt.Errorf("bench json: join missed pair (%d, %d) within %g", i, j, eps)
+			}
+			k++
+		}
+	}
+	if k != len(pairs) {
+		return fmt.Errorf("bench json: join reported %d pairs, the haversine decision accepts %d", len(pairs), k)
+	}
+	return nil
 }
 
 // RunJSON emits the report as indented JSON.

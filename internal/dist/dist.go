@@ -57,24 +57,6 @@ func DFDMatrix(a, b []geo.Point, df geo.DistanceFunc) [][]float64 {
 	return dp
 }
 
-// DFDFromGrid returns the discrete Fréchet distance given a precomputed
-// ground-distance grid: g[i][j] must hold df(a[i], b[j]) for the two
-// sequences being compared. All rows must have equal length. Degenerate
-// grids follow DFD's conventions: a grid with no rows (two empty
-// sequences) is at distance 0, and a grid with rows but no columns (one
-// empty sequence) is infinitely far. For evaluating a sub-window of a
-// shared matrix without copying it out, use DFDFromGridCapped.
-func DFDFromGrid(g [][]float64) float64 {
-	if len(g) == 0 {
-		return 0
-	}
-	if len(g[0]) == 0 {
-		return math.Inf(1)
-	}
-	d, _ := windowCapped(rowsGrid(g), 0, len(g)-1, 0, len(g[0])-1, math.Inf(1))
-	return d
-}
-
 // DTW returns the dynamic time warping distance between a and b under df:
 // the minimal sum of ground distances over all order-preserving couplings.
 // Unlike DFD's bottleneck objective, DTW accumulates a cost for every

@@ -52,9 +52,9 @@
 //     a lower bound instead of burning the full O(n·m) table;
 //   - DFDDecision — the "DFD <= eps?" decision DP, which kills cells
 //     above eps and abandons when a row dies;
-//   - DFDFromGrid / DFDFromGridCapped — the same kernels over a
-//     precomputed ground-distance grid or a sub-window of one, without
-//     copying the window out of the shared matrix;
+//   - DFDFromGridCapped — the capped kernel over a sub-window of a
+//     precomputed ground-distance grid (a dmatrix.Matrix or any Grid),
+//     without copying the window out of the shared matrix;
 //   - DFDBoundaryRow / DFDRelaxRow — the slice-row primitives from which
 //     internal/core and internal/group compose their candidate-subset
 //     sweeps and interval (dminG/dmaxG) DPs over materialized rows.

@@ -3,15 +3,17 @@ package dist
 // This file is the canonical discrete Fréchet kernel: every DFD dynamic
 // program in the repository — exact, early-abandoning (capped), decision,
 // and grid-windowed — reduces to the row recurrence below, which lives in
-// two places: relaxRow, instantiated generically so that DFDCapped and
-// DFDFromGridCapped fuse the ground-distance evaluation into the loop
-// (decision is its boolean twin), and DFDRelaxRow, the same loop over a
-// ground row already in memory, which internal/core's subset sweep and
-// internal/group's interval DP run over matrix and level rows.
-// internal/join, internal/knn, internal/core and internal/group all route
-// through these entry points; no other package carries its own Fréchet
-// recurrence, so an optimization here speeds every caller (ROADMAP:
-// "Unify and optimize the DFD kernel").
+// two places. relaxRow is generic over the ground-distance source:
+// DFDCapped instantiates it over point pairs (pointGrid, or preparedGrid
+// under haversine), fusing the ground distance into the loop, and
+// DFDFromGridCapped runs it over a window of a precomputed grid; decision
+// is its boolean twin behind DFDDecision and DFDDecisionProjected.
+// DFDRelaxRow is the same loop over a ground row already in memory, which
+// internal/core's subset sweep and internal/group's interval DP run over
+// matrix and level rows. internal/join, internal/knn, internal/core and
+// internal/group all route through these entry points; no other package
+// carries its own Fréchet recurrence, so an optimization here speeds
+// every caller.
 //
 // The recurrence (Eiter & Mannila 1994) over a ground-distance source g is
 //
@@ -110,18 +112,6 @@ func (g *projDecGrid) At(i, j int) float64 {
 	return geo.Haversine(g.a[i], g.b[j])
 }
 func (g *projDecGrid) Dims() (int, int) { return len(g.a), len(g.b) }
-
-// rowsGrid adapts an explicit [][]float64 table (the DFDFromGrid input
-// shape) to the grid interface.
-type rowsGrid [][]float64
-
-func (g rowsGrid) At(i, j int) float64 { return g[i][j] }
-func (g rowsGrid) Dims() (int, int) {
-	if len(g) == 0 {
-		return 0, 0
-	}
-	return len(g), len(g[0])
-}
 
 // boundaryRow fills dp[0..j1-j0] with the DP's first row over grid row i0,
 // columns j0..j1: the running maximum of ground distances, which is the

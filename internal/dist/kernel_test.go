@@ -2,7 +2,7 @@ package dist_test
 
 // Cross-package equivalence and property tests for the canonical DFD
 // kernel: every public entry point — point form, capped form, decision
-// form, grid and windowed-grid forms, and the row primitives that
+// form, windowed-grid form, and the row primitives that
 // internal/core and internal/group compose — must agree on the same
 // inputs. This suite is what pins every caller in the tree to one
 // recurrence.
@@ -17,23 +17,11 @@ import (
 	"trajmotif/internal/geo"
 )
 
-// grid materializes the ground-distance table of two point sequences.
-func grid(a, b []geo.Point) [][]float64 {
-	g := make([][]float64, len(a))
-	for i := range g {
-		g[i] = make([]float64, len(b))
-		for j := range g[i] {
-			g[i][j] = geo.Euclidean(a[i], b[j])
-		}
-	}
-	return g
-}
-
 // TestKernelCrossPackageEquivalence asserts that all exact entry points
 // compute the same value to 1e-12 on randomized trajectories: the fused
-// point kernel, the full-table oracle, the [][]float64 grid form, the
-// windowed form over a dmatrix.Matrix (the shape internal/bounds and
-// internal/group consume), and the capped form with an infinite cap.
+// point kernel, the full-table oracle, the windowed form over a
+// dmatrix.Matrix (the shape internal/bounds and internal/group consume),
+// and the capped form with an infinite cap.
 func TestKernelCrossPackageEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 200; trial++ {
@@ -45,9 +33,6 @@ func TestKernelCrossPackageEquivalence(t *testing.T) {
 		dp := dist.DFDMatrix(a, b, geo.Euclidean)
 		if got := dp[len(a)-1][len(b)-1]; math.Abs(got-want) > 1e-12 {
 			t.Fatalf("DFDMatrix = %g, DFD = %g", got, want)
-		}
-		if got := dist.DFDFromGrid(grid(a, b)); math.Abs(got-want) > 1e-12 {
-			t.Fatalf("DFDFromGrid = %g, DFD = %g", got, want)
 		}
 		m := dmatrix.ComputeCross(a, b, geo.Euclidean)
 		got, exceeded := dist.DFDFromGridCapped(m, 0, len(a)-1, 0, len(b)-1, math.Inf(1))

@@ -16,20 +16,23 @@
 //     dynamic program that abandons as soon as a full row dies, usually
 //     long before the O(l^2) table is complete.
 //
-// With Options.Index set, a spatial MBR index retrieves the candidate
+// In front of the cascade, a spatial MBR index retrieves the candidate
 // pairs with MinDist(MBR_i, MBR_j) <= eps and rejects the rest without
 // touching their points. MinDist lower-bounds the endpoint distance
 // df(a0, b0) (both endpoints lie inside their boxes), so every pair the
 // index rejects is exactly one filter 1 would have rejected — the
-// surviving pairs run the unchanged cascade in the same (i, j) order,
-// making results and all pre-existing Stats counters byte-identical to
-// the linear scan (join_parity_test.go proves it).
+// surviving pairs run the unchanged cascade in the same (i, j) order.
+// Under haversine, filter 3 runs through the equirectangular projected
+// decision kernel: cells the per-pair frame's certified error band can
+// decide skip the haversine, and undecidable cells fall back per cell.
+// Results and the Stats counters other than IndexConsulted, IndexPruned
+// and ProjectionFallbacks are byte-identical to an all-pairs scan with
+// the plain decision DP (the reference kept in join_parity_test.go).
 package join
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"trajmotif/internal/dist"
 	"trajmotif/internal/geo"
@@ -52,20 +55,12 @@ type Options struct {
 	// Exact computes the exact DFD for reported pairs (one extra O(l^2)
 	// pass per reported pair); otherwise Distance is set to eps.
 	Exact bool
-	// Index, when non-nil, retrieves candidate pairs spatially instead of
-	// enumerating all n(n-1)/2. It must be keyed by position into ts with
-	// MBRs equal to spatial.Bound of each trajectory's points, and built
-	// for the same ground distance as Dist. Results and all non-Index
-	// Stats fields are unchanged by it.
+	// Index, when non-nil, supplies the trajectories' MBRs (the store's
+	// cached boxes) instead of folding them with spatial.Bound. It must be
+	// keyed by position into ts with MBRs equal to spatial.Bound of each
+	// trajectory's points, and built for the same ground distance as Dist.
+	// Results and Stats are the same with and without it.
 	Index *spatial.Index
-	// Projected routes the decision DP (filter 3) through the
-	// equirectangular projected kernel when Dist is haversine: cells the
-	// per-pair frame's certified error band can decide skip the haversine
-	// entirely, and undecidable cells fall back per cell (counted in
-	// Stats.ProjectionFallbacks). Results and every other Stats counter
-	// are byte-identical to the unprojected join; ignored for non-
-	// haversine metrics.
-	Projected bool
 	// EndpointDists, when non-nil, supplies the endpoint ground distances
 	// df(a[0], b[0]) and df(a[n-1], b[m-1]) for the pair (i, j) — e.g.
 	// from a store-level memo. Returned values must be bit-identical to
@@ -88,16 +83,16 @@ type Stats struct {
 	DecisionRejected int64
 	Reported         int64
 	// IndexConsulted counts spatial-index retrievals (one per input
-	// trajectory on the indexed path); IndexPruned counts pairs the index
-	// rejected without touching their points. Index rejections are a
-	// subset of filter 1's, so they are credited to EndpointPruned too,
-	// keeping that counter byte-identical to the index-free join.
+	// trajectory); IndexPruned counts pairs the index rejected without
+	// touching their points. Index rejections are a subset of filter 1's,
+	// so they are credited to EndpointPruned too, keeping that counter
+	// byte-identical to the all-pairs scan.
 	IndexConsulted int64
 	IndexPruned    int64
 	// ProjectionFallbacks counts decision-DP cells (or whole pairs, when
 	// no valid frame exists) where the projected kernel's error band
 	// could not certify the comparison and the haversine was consulted.
-	// Zero unless Options.Projected is in effect.
+	// Zero under any ground distance other than haversine.
 	ProjectionFallbacks int64
 }
 
@@ -109,58 +104,31 @@ func Join(ts []*traj.Trajectory, eps float64, opt *Options) ([]Pair, Stats, erro
 	df := opt.dist()
 	exact := opt != nil && opt.Exact
 
-	boxes := make([]spatial.MBR, len(ts))
+	var ix *spatial.Index
+	if opt != nil {
+		ix = opt.Index
+	}
+	var boxes []spatial.MBR
+	if ix == nil {
+		boxes = make([]spatial.MBR, len(ts))
+	}
 	for k, t := range ts {
 		if t == nil || t.Len() == 0 {
 			return nil, Stats{}, fmt.Errorf("join: nil or empty trajectory at index %d", k)
 		}
-		boxes[k] = spatial.Bound(t.Points)
-	}
-
-	var st Stats
-	// survivors yields the (i, j) pairs (i < j, lexicographic order) that
-	// reach the filter cascade; the indexed path rejects MinDist > eps
-	// pairs up front and books them as EndpointPruned — the filter that
-	// would have caught every one of them (MinDist <= df(a0, b0)).
-	var survivors func(yield func(i, j int))
-	if opt != nil && opt.Index != nil {
-		ix := opt.Index
-		for k := range ts {
-			if mb, ok := ix.MBROf(k); !ok {
-				return nil, Stats{}, fmt.Errorf("join: spatial index has no entry for trajectory %d", k)
-			} else {
-				boxes[k] = mb
-			}
-		}
-		n := int64(len(ts))
-		st.Pairs = n * (n - 1) / 2
-		st.IndexConsulted = n
-		survivors = func(yield func(i, j int)) {
-			var kept int64
-			for i := 0; i < len(ts); i++ {
-				cand := ix.Candidates(boxes[i], eps)
-				sort.Ints(cand)
-				for _, j := range cand {
-					if j <= i || ix.MinDist(boxes[i], boxes[j]) > eps {
-						continue
-					}
-					kept++
-					yield(i, j)
-				}
-			}
-			st.IndexPruned = st.Pairs - kept
-			st.EndpointPruned += st.IndexPruned
-		}
-	} else {
-		survivors = func(yield func(i, j int)) {
-			for i := 0; i < len(ts); i++ {
-				for j := i + 1; j < len(ts); j++ {
-					st.Pairs++
-					yield(i, j)
-				}
-			}
+		if ix == nil {
+			boxes[k] = spatial.Bound(t.Points)
 		}
 	}
+	if ix == nil {
+		ix = spatial.NewIndex(boxes, df)
+	}
+	boxes = ix.Boxes()
+	if len(boxes) != len(ts) {
+		return nil, Stats{}, fmt.Errorf("join: spatial index covers %d trajectories, input has %d", len(boxes), len(ts))
+	}
+	n := int64(len(ts))
+	st := Stats{Pairs: n * (n - 1) / 2, IndexConsulted: n}
 
 	hav := geo.IsHaversine(df)
 	// Hoist cos(lat) for the endpoint cascade: filter 1 touches each
@@ -189,48 +157,60 @@ func Join(ts []*traj.Trajectory, eps float64, opt *Options) ([]Pair, Stats, erro
 		}
 		return df(a[0], b[0]), df(a[len(a)-1], b[len(b)-1])
 	}
-	projected := hav && opt != nil && opt.Projected
 
+	// The index yields the (i, j) pairs (i < j, lexicographic order) that
+	// reach the filter cascade; it rejects MinDist > eps pairs up front,
+	// and they are booked as EndpointPruned — the filter that would have
+	// caught every one of them (MinDist <= df(a0, b0)).
 	var out []Pair
-	survivors(func(i, j int) {
-		a, b := ts[i].Points, ts[j].Points
-
-		// Filter 1: endpoint bound.
-		if d0, dn := endpointDists(i, j); d0 > eps || dn > eps {
-			st.EndpointPruned++
-			return
-		}
-		// Filter 2: box probes in both directions.
-		if spatial.ProbeBound(a, boxes[j], df) > eps || spatial.ProbeBound(b, boxes[i], df) > eps {
-			st.BoxPruned++
-			return
-		}
-		// Filter 3: decision DP, optionally through the projected kernel
-		// (same boolean, cell-level haversine fallback where the frame's
-		// error band cannot certify the comparison).
-		var within bool
-		if projected {
-			f := pairFrame(boxes[i], boxes[j])
-			var pa, pb []geo.Projected
-			if f.OK() {
-				pa = ts[i].ProjectedPoints(f)
-				pb = ts[j].ProjectedPoints(f)
+	var kept int64
+	for i := range ts {
+		for _, j := range ix.Candidates(boxes[i], eps) {
+			if j <= i || ix.MinDist(boxes[i], boxes[j]) > eps {
+				continue
 			}
-			within = dist.DFDDecisionProjected(a, b, pa, pb, f, eps, &st.ProjectionFallbacks)
-		} else {
-			within = DFDWithin(a, b, df, eps)
+			kept++
+			a, b := ts[i].Points, ts[j].Points
+
+			// Filter 1: endpoint bound.
+			if d0, dn := endpointDists(i, j); d0 > eps || dn > eps {
+				st.EndpointPruned++
+				continue
+			}
+			// Filter 2: box probes in both directions.
+			if spatial.ProbeBound(a, boxes[j], df) > eps || spatial.ProbeBound(b, boxes[i], df) > eps {
+				st.BoxPruned++
+				continue
+			}
+			// Filter 3: decision DP; under haversine through the projected
+			// kernel (same boolean, cell-level haversine fallback where the
+			// frame's error band cannot certify the comparison).
+			var within bool
+			if hav {
+				f := pairFrame(boxes[i], boxes[j])
+				var pa, pb []geo.Projected
+				if f.OK() {
+					pa = ts[i].ProjectedPoints(f)
+					pb = ts[j].ProjectedPoints(f)
+				}
+				within = dist.DFDDecisionProjected(a, b, pa, pb, f, eps, &st.ProjectionFallbacks)
+			} else {
+				within = DFDWithin(a, b, df, eps)
+			}
+			if !within {
+				st.DecisionRejected++
+				continue
+			}
+			p := Pair{I: i, J: j, Distance: eps}
+			if exact {
+				p.Distance = dist.DFD(a, b, df)
+			}
+			out = append(out, p)
+			st.Reported++
 		}
-		if !within {
-			st.DecisionRejected++
-			return
-		}
-		p := Pair{I: i, J: j, Distance: eps}
-		if exact {
-			p.Distance = dist.DFD(a, b, df)
-		}
-		out = append(out, p)
-		st.Reported++
-	})
+	}
+	st.IndexPruned = st.Pairs - kept
+	st.EndpointPruned += st.IndexPruned
 	return out, st, nil
 }
 

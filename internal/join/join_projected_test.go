@@ -11,25 +11,13 @@ import (
 	"trajmotif/internal/traj"
 )
 
-// joinParity runs the plain and projected joins side by side and fails
-// unless pairs and all shared stats are byte-identical; it returns the
-// projected run's fallback count.
+// joinParity runs the (projected, under haversine) join against the
+// all-pairs reference with the plain decision DP and fails unless pairs
+// and all shared stats are byte-identical; it returns the join's
+// fallback count.
 func joinParity(t *testing.T, ts []*traj.Trajectory, eps float64, exact bool) int64 {
 	t.Helper()
-	plain, pst, err1 := Join(ts, eps, &Options{Exact: exact})
-	proj, jst, err2 := Join(ts, eps, &Options{Exact: exact, Projected: true})
-	if err1 != nil || err2 != nil {
-		t.Fatalf("eps=%g: errors %v / %v", eps, err1, err2)
-	}
-	fallbacks := jst.ProjectionFallbacks
-	jst.ProjectionFallbacks = 0
-	if !reflect.DeepEqual(plain, proj) {
-		t.Fatalf("eps=%g exact=%v: pairs differ\nplain %+v\nprojected %+v", eps, exact, plain, proj)
-	}
-	if pst != jst {
-		t.Fatalf("eps=%g exact=%v: stats differ\nplain %+v\nprojected %+v", eps, exact, pst, jst)
-	}
-	return fallbacks
+	return checkJoin(t, ts, eps, &Options{Exact: exact}).ProjectionFallbacks
 }
 
 // TestJoinProjectedParity pins the projected decision kernel against the

@@ -12,17 +12,16 @@
 //  4. the search stops as soon as the next lower bound exceeds the k-th
 //     best — the remaining candidates cannot improve the result.
 //
-// With Options.Index set, a spatial MBR index supplies a free per-
-// candidate pre-bound (spatial MinDist, pure arithmetic over cached
-// boxes) that is itself a lower bound on the cheap lower bound above, so
-// candidates are refined lazily: a candidate whose MinDist already
-// exceeds the k-th best is skipped without a single ground-distance
-// evaluation or point scan. Because refinement happens in the exact
-// ascending (bound, index) order the linear scan would have used, the
-// indexed search visits the same dynamic programs against the same caps
-// in the same order — results and the pre-existing Stats counters are
-// byte-identical with and without the index (proven by the parity suite
-// in knn_parity_test.go); only IndexConsulted/IndexPruned differ.
+// Before any of that, a spatial MBR bound (spatial MinDist, pure
+// arithmetic over the boxes) pre-bounds every candidate: it is itself a
+// lower bound on the cheap lower bound above, so candidates are refined
+// lazily, and one whose MinDist already exceeds the k-th best is skipped
+// without a single ground-distance evaluation or point scan. Refinement
+// happens in the exact ascending (bound, index) order a linear scan of
+// the cheap bounds would sort into, so the search visits the same
+// dynamic programs against the same caps in the same order — results
+// and the Stats counters other than IndexConsulted/IndexPruned are
+// byte-identical to that scan (the reference kept in knn_parity_test.go).
 package knn
 
 import (
@@ -51,10 +50,10 @@ type Stats struct {
 	SkippedByLB    int64 // never reached the DP
 	AbandonedEarly int64 // DP started but died against the cap
 	Exact          int64 // full DFD computations that completed
-	// IndexConsulted counts spatial-index consultations (one per indexed
-	// search); IndexPruned counts candidates the index rejected before
+	// IndexConsulted counts spatial-index consultations (one per
+	// search); IndexPruned counts candidates the MBR bound rejected before
 	// any ground-distance work — a subset of SkippedByLB, which stays
-	// byte-identical to the index-free scan.
+	// byte-identical to the unpruned linear scan.
 	IndexConsulted int64
 	IndexPruned    int64
 }
@@ -62,11 +61,12 @@ type Stats struct {
 // Options tunes the search; zero value uses haversine.
 type Options struct {
 	Dist geo.DistanceFunc
-	// Index, when non-nil, enables MBR pre-bounding. It must be keyed by
-	// dataset position with MBRs equal to spatial.Bound of each
-	// trajectory's points (spatial.BuildIndex, or the store's cached
-	// boxes), and built for the same ground distance as Dist. Results
-	// and all non-Index Stats fields are unchanged by it.
+	// Index, when non-nil, supplies the candidates' MBRs (the store's
+	// cached boxes) instead of folding them with spatial.Bound. It must
+	// be keyed by dataset position with MBRs equal to spatial.Bound of
+	// each trajectory's points (spatial.BuildIndex, or store.IndexFor),
+	// and built for the same ground distance as Dist. Results and Stats
+	// are the same with and without it.
 	Index *spatial.Index
 }
 
@@ -88,11 +88,29 @@ func Nearest(query *traj.Trajectory, dataset []*traj.Trajectory, k int, opt *Opt
 		return nil, Stats{}, fmt.Errorf("knn: empty query")
 	}
 	df := opt.dist()
-	st := Stats{Candidates: int64(len(dataset))}
+	st := Stats{Candidates: int64(len(dataset)), IndexConsulted: 1}
+	var ix *spatial.Index
+	if opt != nil {
+		ix = opt.Index
+	}
+	var boxes []spatial.MBR
+	if ix == nil {
+		boxes = make([]spatial.MBR, len(dataset))
+	}
 	for i, t := range dataset {
 		if t == nil || t.Len() == 0 {
 			return nil, Stats{}, fmt.Errorf("knn: nil or empty trajectory at index %d", i)
 		}
+		if ix == nil {
+			boxes[i] = spatial.Bound(t.Points)
+		}
+	}
+	if ix == nil {
+		ix = spatial.NewIndex(boxes, df)
+	}
+	boxes = ix.Boxes()
+	if len(boxes) != len(dataset) {
+		return nil, Stats{}, fmt.Errorf("knn: spatial index covers %d trajectories, dataset has %d", len(boxes), len(dataset))
 	}
 
 	q := query.Points
@@ -113,10 +131,9 @@ func Nearest(query *traj.Trajectory, dataset []*traj.Trajectory, k int, opt *Opt
 		}
 	}
 
-	// lowerBound is the cheap per-candidate bound of the package comment,
-	// shared verbatim by both paths (pBox must be the candidate's MBR).
-	lowerBound := func(i int, pBox spatial.MBR) float64 {
-		p := dataset[i].Points
+	// lowerBound is the cheap per-candidate bound of the package comment.
+	lowerBound := func(i int) float64 {
+		p, pBox := dataset[i].Points, boxes[i]
 		var lb float64
 		if hav {
 			lb = math.Max(
@@ -139,8 +156,7 @@ func Nearest(query *traj.Trajectory, dataset []*traj.Trajectory, k int, opt *Opt
 	h := &nbrHeap{}
 	heap.Init(h)
 	kth := math.Inf(1)
-	// process runs the exact DP for one candidate against the current
-	// cap; both paths call it for the same candidates in the same order.
+	// process runs the exact DP for one candidate against the current cap.
 	process := func(idx int) {
 		capd := math.Inf(1)
 		if h.Len() == k {
@@ -164,80 +180,26 @@ func Nearest(query *traj.Trajectory, dataset []*traj.Trajectory, k int, opt *Opt
 		}
 	}
 
-	if opt != nil && opt.Index != nil {
-		if err := nearestIndexed(dataset, qBox, opt.Index, k, h, &kth, &st, lowerBound, process); err != nil {
-			return nil, Stats{}, err
-		}
-	} else {
-		// Linear scan: cheap lower bounds for every candidate, visited in
-		// ascending (lb, index) order.
-		type cand struct {
-			idx int
-			lb  float64
-		}
-		cands := make([]cand, 0, len(dataset))
-		for i, t := range dataset {
-			cands = append(cands, cand{idx: i, lb: lowerBound(i, spatial.Bound(t.Points))})
-		}
-		sort.Slice(cands, func(a, b int) bool {
-			if cands[a].lb != cands[b].lb {
-				return cands[a].lb < cands[b].lb
-			}
-			return cands[a].idx < cands[b].idx
-		})
-		for _, c := range cands {
-			if h.Len() == k && c.lb > kth {
-				break
-			}
-			process(c.idx)
-		}
-	}
-	// Every candidate is either processed or skipped before its DP; the
-	// identity holds on the break-free path too (the difference is 0).
-	st.SkippedByLB = st.Candidates - st.AbandonedEarly - st.Exact
-
-	out := make([]Neighbor, h.Len())
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(h).(Neighbor)
-	}
-	sort.Slice(out, func(a, b int) bool { return nbrLess(out[a], out[b]) })
-	return out, st, nil
-}
-
-// nearestIndexed drains candidates through a lazy refinement heap keyed
-// by (bound, index): every candidate enters under its spatial MinDist
-// (≤ the endpoint distance, hence ≤ the full lower bound); popping an
-// unrefined candidate upgrades it to the full lower bound and re-queues
-// it. Refined candidates therefore pop in exactly the ascending
-// (lb, index) order the linear scan sorts into, so the DP sequence, the
-// cap evolution and every counter match the scan bit for bit; the gain
-// is that candidates whose MinDist never drops below the k-th best are
-// popped refined-less at the end — or not at all — and counted as
-// IndexPruned without any point scan or ground-distance call.
-func nearestIndexed(dataset []*traj.Trajectory, qBox spatial.MBR, ix *spatial.Index, k int,
-	h *nbrHeap, kth *float64, st *Stats,
-	lowerBound func(int, spatial.MBR) float64, process func(int)) error {
-
-	st.IndexConsulted = 1
-	lh := make(lazyHeap, 0, len(dataset))
-	for i := range dataset {
-		mb, ok := ix.MBROf(i)
-		if !ok {
-			return fmt.Errorf("knn: spatial index has no entry for candidate %d", i)
-		}
-		lh = append(lh, lazyCand{idx: i, mbr: mb, bound: ix.MinDist(qBox, mb)})
+	// Drain candidates through a lazy refinement heap keyed by
+	// (bound, index): every candidate enters under its spatial MinDist
+	// (≤ the endpoint distance, hence ≤ the full lower bound); popping an
+	// unrefined candidate upgrades it to the full lower bound and
+	// re-queues it. Refined candidates therefore pop in exactly ascending
+	// (lb, index) order, and candidates whose MinDist never drops below
+	// the k-th best are never refined at all.
+	lh := make(lazyHeap, len(dataset))
+	for i := range lh {
+		lh[i] = lazyCand{idx: i, bound: ix.MinDist(qBox, boxes[i])}
 	}
 	heap.Init(&lh)
 	for lh.Len() > 0 {
-		if h.Len() == k && lh[0].bound > *kth {
-			// Everything left bounds above the k-th best: the linear scan
-			// would have skipped it all too. Unrefined leftovers never
-			// cost a ground-distance call — that is the index's win.
+		if h.Len() == k && lh[0].bound > kth {
+			// Everything left bounds above the k-th best.
 			break
 		}
 		c := heap.Pop(&lh).(lazyCand)
 		if !c.refined {
-			c.bound = lowerBound(c.idx, c.mbr)
+			c.bound = lowerBound(c.idx)
 			c.refined = true
 			heap.Push(&lh, c)
 			continue
@@ -249,16 +211,23 @@ func nearestIndexed(dataset []*traj.Trajectory, qBox spatial.MBR, ix *spatial.In
 			st.IndexPruned++
 		}
 	}
-	return nil
+	// Every candidate is either processed or skipped before its DP.
+	st.SkippedByLB = st.Candidates - st.AbandonedEarly - st.Exact
+
+	out := make([]Neighbor, h.Len())
+	for i := len(out) - 1; i >= 0; i-- {
+		out[i] = heap.Pop(h).(Neighbor)
+	}
+	sort.Slice(out, func(a, b int) bool { return nbrLess(out[a], out[b]) })
+	return out, st, nil
 }
 
-// lazyCand is one candidate in the indexed search: bound is the spatial
-// MinDist until refined, then the full cheap lower bound.
+// lazyCand is one candidate: bound is the spatial MinDist until
+// refined, then the full cheap lower bound.
 type lazyCand struct {
 	idx     int
 	bound   float64
 	refined bool
-	mbr     spatial.MBR
 }
 
 // lazyHeap is a min-heap over (bound, idx) — a strict total order, so

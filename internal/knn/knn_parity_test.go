@@ -1,14 +1,109 @@
 package knn
 
 import (
+	"container/heap"
+	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
+	"trajmotif/internal/dist"
 	"trajmotif/internal/geo"
 	"trajmotif/internal/spatial"
 	"trajmotif/internal/traj"
 )
+
+// linearNearest is the unpruned reference search: the cheap lower bound
+// (endpoint distances, then box probes both ways, all through plain df)
+// for every candidate, visited in ascending (lb, index) order, with the
+// same early-abandoning DP and k-th-best cap as Nearest. Nearest must
+// match it in results and in every Stats counter except IndexConsulted
+// and IndexPruned, which it leaves zero.
+func linearNearest(query *traj.Trajectory, dataset []*traj.Trajectory, k int, df geo.DistanceFunc) ([]Neighbor, Stats) {
+	q := query.Points
+	qBox := spatial.Bound(q)
+	type cand struct {
+		idx int
+		lb  float64
+	}
+	cands := make([]cand, len(dataset))
+	for i, t := range dataset {
+		p := t.Points
+		lb := math.Max(df(q[0], p[0]), df(q[len(q)-1], p[len(p)-1]))
+		lb = math.Max(lb, spatial.ProbeBound(q, spatial.Bound(p), df))
+		cands[i] = cand{idx: i, lb: math.Max(lb, spatial.ProbeBound(p, qBox, df))}
+	}
+	sort.Slice(cands, func(a, b int) bool {
+		if cands[a].lb != cands[b].lb {
+			return cands[a].lb < cands[b].lb
+		}
+		return cands[a].idx < cands[b].idx
+	})
+
+	st := Stats{Candidates: int64(len(dataset))}
+	h := &nbrHeap{}
+	kth := math.Inf(1)
+	for _, c := range cands {
+		if h.Len() == k && c.lb > kth {
+			break
+		}
+		capd := math.Inf(1)
+		if h.Len() == k {
+			capd = math.Nextafter(kth, math.Inf(1))
+		}
+		d, exceeded := dist.DFDCapped(q, dataset[c.idx].Points, df, capd)
+		if exceeded {
+			st.AbandonedEarly++
+			continue
+		}
+		st.Exact++
+		nb := Neighbor{Index: c.idx, Distance: d}
+		if h.Len() < k {
+			heap.Push(h, nb)
+		} else if nbrLess(nb, (*h)[0]) {
+			(*h)[0] = nb
+			heap.Fix(h, 0)
+		}
+		if h.Len() == k {
+			kth = (*h)[0].Distance
+		}
+	}
+	st.SkippedByLB = st.Candidates - st.AbandonedEarly - st.Exact
+	out := []Neighbor(*h)
+	sort.Slice(out, func(a, b int) bool { return nbrLess(out[a], out[b]) })
+	return out, st
+}
+
+// checkParity runs Nearest with opt and fails unless it matches the
+// linear reference in results and shared counters; it returns the
+// search's IndexPruned.
+func checkParity(t *testing.T, query *traj.Trajectory, ds []*traj.Trajectory, k int, opt *Options) int64 {
+	t.Helper()
+	want, wst := linearNearest(query, ds, k, opt.dist())
+	got, gst, err := Nearest(query, ds, k, opt)
+	if err != nil {
+		t.Fatalf("k=%d: %v", k, err)
+	}
+	if gst.IndexConsulted != 1 {
+		t.Fatalf("k=%d: IndexConsulted = %d", k, gst.IndexConsulted)
+	}
+	pruned := gst.IndexPruned
+	gst.IndexConsulted, gst.IndexPruned = 0, 0
+	if len(want) == 0 {
+		want = nil
+	}
+	if len(got) == 0 {
+		got = nil
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("k=%d: results differ\nlinear %+v\npruned %+v", k, want, got)
+	}
+	if wst != gst {
+		t.Fatalf("k=%d: stats differ\nlinear %+v\npruned %+v", k, wst, gst)
+	}
+	return pruned
+}
 
 // geoWalk is randWalk on valid lat/lng coordinates (haversine-safe):
 // a short noisy walk around a city-scale center.
@@ -43,9 +138,10 @@ func parityDataset(r *rand.Rand) (query *traj.Trajectory, ds []*traj.Trajectory)
 }
 
 // TestNearestIndexParity is the tentpole proof for knn: across metrics,
-// trials and k values (1 through beyond the dataset size), the indexed
-// search returns results AND effort stats byte-identical to the linear
-// scan, while actually pruning (cumulative IndexPruned > 0).
+// trials and k values (1 through beyond the dataset size), the pruned
+// search — boxes folded by Nearest itself or supplied by an index —
+// returns results AND effort stats byte-identical to the linear
+// reference, while actually pruning (cumulative IndexPruned > 0).
 func TestNearestIndexParity(t *testing.T) {
 	for _, df := range []geo.DistanceFunc{geo.Haversine, geo.Euclidean} {
 		r := rand.New(rand.NewSource(71))
@@ -57,22 +153,11 @@ func TestNearestIndexParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, k := range []int{1, 3, 7, len(ds), len(ds) + 5} {
-				plain, pst, err1 := Nearest(query, ds, k, &Options{Dist: df})
-				fast, fst, err2 := Nearest(query, ds, k, &Options{Dist: df, Index: ix})
-				if err1 != nil || err2 != nil {
-					t.Fatalf("trial %d k=%d: errors %v / %v", trial, k, err1, err2)
+				p := checkParity(t, query, ds, k, &Options{Dist: df})
+				if q := checkParity(t, query, ds, k, &Options{Dist: df, Index: ix}); q != p {
+					t.Fatalf("trial %d k=%d: IndexPruned %d with a supplied index, %d without", trial, k, q, p)
 				}
-				if fst.IndexConsulted != 1 {
-					t.Fatalf("trial %d k=%d: IndexConsulted = %d", trial, k, fst.IndexConsulted)
-				}
-				pruned += fst.IndexPruned
-				fst.IndexConsulted, fst.IndexPruned = 0, 0
-				if !reflect.DeepEqual(plain, fast) {
-					t.Fatalf("trial %d k=%d: results differ\nplain %+v\nindexed %+v", trial, k, plain, fast)
-				}
-				if pst != fst {
-					t.Fatalf("trial %d k=%d: stats differ\nplain %+v\nindexed %+v", trial, k, pst, fst)
-				}
+				pruned += p
 			}
 		}
 		if pruned == 0 {
@@ -113,10 +198,20 @@ func TestNearestIndexEdges(t *testing.T) {
 		t.Errorf("empty dataset with index: %v, %d results", err, len(got))
 	}
 
-	// An index that does not cover the dataset is a caller bug, not a
-	// silent wrong answer.
+	// An index that does not cover the dataset, or covers more, is a
+	// caller bug, not a silent wrong answer.
 	if _, _, err := Nearest(q, ds, 1, &Options{Index: empty}); err == nil {
 		t.Error("index missing the dataset should error")
+	}
+	if _, _, err := Nearest(q, ds[:1], 1, &Options{Index: ix}); err == nil {
+		t.Error("index larger than the dataset should error")
+	}
+
+	// An unrecognized ground distance has no box bound: nothing is
+	// pruned, and the search still matches the reference.
+	custom := func(a, b geo.Point) float64 { return geo.Euclidean(a, b) * 2 }
+	if p := checkParity(t, q, ds, 1, &Options{Dist: custom}); p != 0 {
+		t.Errorf("unrecognized metric pruned %d candidates", p)
 	}
 
 	// Single-point query and candidates (degenerate MBRs everywhere).
@@ -129,16 +224,9 @@ func TestNearestIndexEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, pst, err1 := Nearest(p1, ones, 1, nil)
-	fast, fst, err2 := Nearest(p1, ones, 1, &Options{Index: ix1})
-	if err1 != nil || err2 != nil {
-		t.Fatalf("single-point: %v / %v", err1, err2)
-	}
-	fst.IndexConsulted, fst.IndexPruned = 0, 0
-	if !reflect.DeepEqual(plain, fast) || pst != fst {
-		t.Fatalf("single-point parity broke: %+v %+v vs %+v %+v", plain, pst, fast, fst)
-	}
-	if plain[0].Index != 0 {
-		t.Fatalf("nearest single point = %d, want 0", plain[0].Index)
+	checkParity(t, p1, ones, 1, nil)
+	checkParity(t, p1, ones, 1, &Options{Index: ix1})
+	if got, _, _ := Nearest(p1, ones, 1, nil); got[0].Index != 0 {
+		t.Fatalf("nearest single point = %d, want 0", got[0].Index)
 	}
 }

@@ -846,8 +846,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	// The per-request index reuses the registry's cached MBRs (one lock
-	// acquisition); results and effort stats are byte-identical to the
-	// index-free search — only IndexPruned work is saved.
+	// acquisition) instead of folding every candidate's points again.
 	nbrs, st, err := knn.Nearest(q, ds, req.K, &knn.Options{
 		Dist:  s.st.Dist(),
 		Index: s.st.IndexFor(ids, ds),
@@ -899,15 +898,12 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	// Projected is a no-op for non-haversine metrics, and the endpoint
-	// memo serves the cascade the exact float64s it would compute — both
-	// leave results and the shared counters byte-identical, so they are
-	// always on.
+	// The index reuses the registry's cached MBRs, and the endpoint memo
+	// serves the cascade the exact float64s it would compute.
 	pairs, st, err := join.Join(ts, req.Eps, &join.Options{
 		Dist:          s.st.Dist(),
 		Exact:         req.Exact,
 		Index:         s.st.IndexFor(ids, ts),
-		Projected:     true,
 		EndpointDists: s.st.EndpointDists(ts),
 	})
 	if err != nil {

@@ -39,7 +39,7 @@ func checkIndexBoxes(t *testing.T, b Backend) {
 		if !ok {
 			continue // evicted between IDs and Get
 		}
-		box, _ := b.IndexFor([]store.ID{id}, []*traj.Trajectory{tr}).MBROf(0)
+		box := b.IndexFor([]store.ID{id}, []*traj.Trajectory{tr}).Boxes()[0]
 		if box != spatial.Bound(tr.Points) {
 			t.Fatalf("IndexFor box of %s = %+v, want the Bound fold", id, box)
 		}

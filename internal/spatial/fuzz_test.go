@@ -4,8 +4,10 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
+	"trajmotif/internal/dist"
 	"trajmotif/internal/geo"
 	"trajmotif/internal/join"
 	"trajmotif/internal/knn"
@@ -41,15 +43,19 @@ func fuzzCorpus(seed int64, n int) []*traj.Trajectory {
 	return ts
 }
 
-// FuzzSpatialIndex drives the two oracles of the tentpole: Candidates is
-// a superset of the brute-force MinDist filter, and indexed knn/join
-// DeepEqual the unindexed searches — results and every shared stats
-// field.
+// FuzzSpatialIndex drives the two oracles of the index: Candidates is a
+// superset of the brute-force MinDist filter, and the pruned knn and
+// join answer exactly what brute force answers — knn the first k of
+// every candidate sorted by (DFD, index), join the pairs DFDWithin
+// accepts — with their effort counters adding up.
 func FuzzSpatialIndex(f *testing.F) {
 	f.Add(int64(1), uint8(8), 5000.0)
 	f.Add(int64(42), uint8(20), 250000.0)
 	f.Add(int64(-7), uint8(3), 0.0)
 	f.Add(int64(99), uint8(1), 1e7)
+	// A k-NN query whose candidate box lies across the antimeridian, where
+	// the coordinate clamp once overshot the spherical probe distance.
+	f.Add(int64(-293), uint8(167), 1142.8611111111113)
 	f.Fuzz(func(t *testing.T, seed int64, n uint8, radius float64) {
 		count := int(n%24) + 1
 		if math.IsNaN(radius) || math.IsInf(radius, 0) {
@@ -63,52 +69,68 @@ func FuzzSpatialIndex(f *testing.F) {
 		}
 
 		// Oracle 1: Candidates superset of the brute MinDist filter.
-		q, _ := ix.MBROf(0)
+		boxes := ix.Boxes()
+		q := boxes[0]
 		got := ix.Candidates(q, radius)
 		seen := make(map[int]bool, len(got))
 		for _, id := range got {
 			seen[id] = true
 		}
-		for i := range ts {
-			b, _ := ix.MBROf(i)
+		for i, b := range boxes {
 			if spatial.HaversineMinDist(q, b) <= radius && !seen[i] {
 				t.Fatalf("candidate %d (MinDist %.6g <= %.6g) missing", i,
 					spatial.HaversineMinDist(q, b), radius)
 			}
 		}
 
-		// Oracle 2a: indexed knn == unindexed knn, stats included.
+		// Oracle 2a: knn == DFD to every candidate, sorted by (DFD, index).
 		k := int(n%5) + 1
 		query, dataset := ts[0], ts[1:]
-		if len(dataset) > 0 {
-			ix2, err := spatial.BuildIndex(dataset, geo.Haversine)
-			if err != nil {
-				t.Fatal(err)
+		nbrs, kst, err := knn.Nearest(query, dataset, k, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]knn.Neighbor, len(dataset))
+		for i, c := range dataset {
+			want[i] = knn.Neighbor{Index: i, Distance: dist.DFD(query.Points, c.Points, geo.Haversine)}
+		}
+		sort.Slice(want, func(a, b int) bool {
+			if want[a].Distance != want[b].Distance {
+				return want[a].Distance < want[b].Distance
 			}
-			plain, pst, err1 := knn.Nearest(query, dataset, k, nil)
-			fast, fst, err2 := knn.Nearest(query, dataset, k, &knn.Options{Index: ix2})
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("knn error mismatch: %v vs %v", err1, err2)
-			}
-			if err1 == nil {
-				fst.IndexConsulted, fst.IndexPruned = 0, 0
-				if !reflect.DeepEqual(plain, fast) || !reflect.DeepEqual(pst, fst) {
-					t.Fatalf("knn parity broke:\nplain %+v %+v\nindexed %+v %+v", plain, pst, fast, fst)
+			return want[a].Index < want[b].Index
+		})
+		want = want[:min(k, len(want))]
+		if !reflect.DeepEqual(nbrs, want) {
+			t.Fatalf("knn k=%d:\ngot  %+v\nwant %+v", k, nbrs, want)
+		}
+		if kst.Candidates != int64(len(dataset)) || kst.IndexConsulted != 1 ||
+			kst.SkippedByLB+kst.AbandonedEarly+kst.Exact != kst.Candidates ||
+			kst.IndexPruned > kst.SkippedByLB || kst.Exact < int64(len(nbrs)) {
+			t.Fatalf("knn counters do not add up: %+v (%d results)", kst, len(nbrs))
+		}
+
+		// Oracle 2b: join == DFDWithin on every pair.
+		pairs, jst, err := join.Join(ts, radius, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wantP []join.Pair
+		for i := range ts {
+			for j := i + 1; j < len(ts); j++ {
+				if join.DFDWithin(ts[i].Points, ts[j].Points, geo.Haversine, radius) {
+					wantP = append(wantP, join.Pair{I: i, J: j, Distance: radius})
 				}
 			}
 		}
-
-		// Oracle 2b: indexed join == unindexed join, stats included.
-		plainP, pst, err1 := join.Join(ts, radius, nil)
-		fastP, fst, err2 := join.Join(ts, radius, &join.Options{Index: ix})
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("join error mismatch: %v vs %v", err1, err2)
+		if !reflect.DeepEqual(pairs, wantP) {
+			t.Fatalf("join eps=%g:\ngot  %+v\nwant %+v", radius, pairs, wantP)
 		}
-		if err1 == nil {
-			fst.IndexConsulted, fst.IndexPruned = 0, 0
-			if !reflect.DeepEqual(plainP, fastP) || !reflect.DeepEqual(pst, fst) {
-				t.Fatalf("join parity broke:\nplain %+v %+v\nindexed %+v %+v", plainP, pst, fastP, fst)
-			}
+		nt := int64(len(ts))
+		if jst.Pairs != nt*(nt-1)/2 || jst.IndexConsulted != nt ||
+			jst.EndpointPruned+jst.BoxPruned+jst.DecisionRejected+jst.Reported != jst.Pairs ||
+			jst.IndexPruned > jst.EndpointPruned || jst.Reported != int64(len(pairs)) {
+			t.Fatalf("join counters do not add up: %+v (%d pairs)", jst, len(pairs))
 		}
 	})
 }

@@ -10,18 +10,19 @@
 // (the second inequality because the discrete Fréchet distance is a max
 // over coupled ground distances), so rejecting a pair whose MinDist
 // exceeds the current radius — an ε, a k-th best distance, or a motif
-// cutoff — can never reject a pair the exact search would keep. The
-// parity suites in internal/knn, internal/join and internal/batch prove
-// the stronger property the repo's test archetype demands: indexed and
-// linear-scan searches return byte-identical results and effort stats.
+// cutoff — can never reject a pair the exact search would keep. knn and
+// join always prune this way; the parity suites in internal/knn,
+// internal/join and internal/batch prove the stronger property that the
+// pruned searches return results and effort stats byte-identical to
+// test-local unpruned reference scans.
 //
 // MinDist is metric-aware: geo.Haversine and geo.Euclidean (recognized
 // by function identity) get analytic box-to-box bounds; any other ground
 // distance degrades to a zero bound — the index is still consulted but
 // never prunes, which is sound and keeps callers branch-free. The
-// haversine bound deliberately avoids the clamp-to-box construction the
-// per-pair probe bounds use (clamping is not minimal on a sphere at
-// extreme latitudes); it is the max of two independently sound terms:
+// haversine bound avoids any clamp-to-box construction (the coordinate
+// clamp point is not the nearest box point on a sphere); it is the max
+// of two independently sound terms:
 //
 //	latitude:  dG ≥ R·Δlat, with Δlat the gap between the lat intervals;
 //	longitude: dG ≥ 2R·asin(√(cos·cos)·sin(Δlng/2)), with the cosines
@@ -36,7 +37,8 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sort"
+	"slices"
+	"sync"
 
 	"trajmotif/internal/geo"
 	"trajmotif/internal/traj"
@@ -64,10 +66,11 @@ func Bound(pts []geo.Point) MBR {
 	return b
 }
 
-// Clamp returns the point of the box closest to p in coordinate space.
-// It is the probe point of ProbeBound and ProbeBoundPrepared; note that
-// on a sphere the clamped point is not always the minimal-distance box
-// point (MinDist's analytic bound is, and is used for index pruning).
+// Clamp returns the point of the box closest to p in coordinate space:
+// the nearest box point in the plane, and on the sphere whenever p's
+// longitude lies inside the box's range. Outside that range it is not
+// always the nearest box point on a sphere (ProbeBound handles that case
+// separately).
 func (m MBR) Clamp(p geo.Point) geo.Point {
 	q := p
 	if q.Lat < m.MinLat {
@@ -86,13 +89,21 @@ func (m MBR) Clamp(p geo.Point) geo.Point {
 // ProbeBound lower-bounds DFD(a, ·) for any trajectory inside bb: every
 // coupling matches each probed point of a to some point in bb, so the
 // max probe-to-box distance is a lower bound. Probes first, middle, last.
-// The probe-to-box distance is df to the Clamp point, the construction
-// knn and join refine with (see Clamp's note on the sphere).
+// Under haversine the probe-to-box distance is the spherical one of
+// haversinePointBoxPrepared; under any other distance it is df to the
+// Clamp point, which is the nearest box point for geo.Euclidean.
 func ProbeBound(a []geo.Point, bb MBR, df geo.DistanceFunc) float64 {
+	hav := geo.IsHaversine(df)
 	lb := 0.0
 	for _, idx := range [...]int{0, len(a) / 2, len(a) - 1} {
 		p := a[idx]
-		if d := df(p, bb.Clamp(p)); d > lb {
+		var d float64
+		if hav {
+			d = haversinePointBoxPrepared(p, geo.CosLat(p), bb)
+		} else {
+			d = df(p, bb.Clamp(p))
+		}
+		if d > lb {
 			lb = d
 		}
 	}
@@ -100,18 +111,49 @@ func ProbeBound(a []geo.Point, bb MBR, df geo.DistanceFunc) float64 {
 }
 
 // ProbeBoundPrepared is ProbeBound over pre-selected probes with hoisted
-// cos(lat) factors; only the clamp point's factor is computed per call.
-// Bit-identical to ProbeBound on the same probes under haversine, so
-// callers must gate it on geo.IsHaversine.
+// cos(lat) factors. Bit-identical to ProbeBound on the same probes under
+// haversine, so callers must gate it on geo.IsHaversine.
 func ProbeBoundPrepared(probes []geo.PreparedPoint, bb MBR) float64 {
 	lb := 0.0
 	for _, pp := range probes {
-		c := bb.Clamp(pp.P)
-		if d := geo.HaversinePrepared(pp.P, c, pp.CosLat, geo.CosLat(c)); d > lb {
+		if d := haversinePointBoxPrepared(pp.P, pp.CosLat, bb); d > lb {
 			lb = d
 		}
 	}
 	return lb
+}
+
+// haversinePointBoxPrepared lower-bounds the haversine distance from p
+// (cosP = geo.CosLat(p)) to every point of bb. When p's longitude lies
+// inside the box's range, the nearest box point is on p's own meridian:
+// the Clamp point. Otherwise it lies on the boundary meridian with the
+// smaller cyclic longitude gap (along any parallel the distance grows
+// with that gap). On that meridian it is the foot of the great-circle
+// perpendicular from p, clamped to [MinLat, MaxLat], when the gap is at
+// most 90°; beyond 90° the foot lies past a pole and the nearer of the
+// two corners is the answer. That second value is shaved like MinDist,
+// because the computed foot is rounded.
+func haversinePointBoxPrepared(p geo.Point, cosP float64, bb MBR) float64 {
+	if p.Lng >= bb.MinLng && p.Lng <= bb.MaxLng {
+		c := bb.Clamp(p)
+		return geo.HaversinePrepared(p, c, cosP, geo.CosLat(c))
+	}
+	lng := bb.MinLng
+	if cyclicGap(p.Lng, p.Lng, bb.MaxLng, bb.MaxLng) < cyclicGap(p.Lng, p.Lng, bb.MinLng, bb.MinLng) {
+		lng = bb.MaxLng
+	}
+	at := func(lat float64) float64 {
+		q := geo.Point{Lat: lat, Lng: lng}
+		return geo.HaversinePrepared(p, q, cosP, geo.CosLat(q))
+	}
+	var d float64
+	if c := math.Cos((lng - p.Lng) * math.Pi / 180); c >= 0 {
+		foot := math.Atan2(math.Sin(p.Lat*math.Pi/180), cosP*c) * 180 / math.Pi
+		d = at(math.Max(bb.MinLat, math.Min(foot, bb.MaxLat)))
+	} else {
+		d = math.Min(at(bb.MinLat), at(bb.MaxLat))
+	}
+	return d * (1 - soundnessShave)
 }
 
 // soundnessShave is the relative margin MinDist bounds are shrunk by:
@@ -188,10 +230,16 @@ type MinDistFunc func(a, b MBR) float64
 // cell-window inflation Candidates uses to stay a superset.
 type metric struct {
 	minDist MinDistFunc
-	// window returns the lat/lng pads in degrees such that every MBR
-	// with minDist(q, m) ≤ radius lies within pad of q on both axes
-	// (lngPad ≥ 180 means the whole circle must be swept).
+	// window returns the lat/lng pads in coordinate units such that
+	// every MBR with minDist(q, m) ≤ radius lies within pad of q on both
+	// axes (lngPad ≥ 180 means the whole circle must be swept).
 	window func(q MBR, radius float64) (latPad, lngPad float64)
+	// lngLimit is the |longitude| (planar x) range the grid files boxes
+	// over; boxes reaching beyond it go to the overflow list.
+	lngLimit float64
+	// cyclic marks longitude as a 360° circle (haversine): query windows
+	// wrap at ±180. Planar x (geo.Euclidean) never wraps.
+	cyclic bool
 }
 
 // polarCutoffDeg bounds the latitudes the grid itself covers: an MBR
@@ -199,6 +247,10 @@ type metric struct {
 // list, so the longitude window inflation can assume in-grid candidates
 // have cos(lat) ≥ cos(polarCutoffDeg).
 const polarCutoffDeg = 85
+
+// planarLimit bounds |x| and the window edges of the planar grid, so
+// every cell coordinate fits an int32; beyond it boxes overflow.
+const planarLimit = (1 << 30) * DefaultCell
 
 // padSlackDeg is added to both window pads: absolute slack (~1 µm of
 // latitude) that swallows the soundness shave and any rounding in the
@@ -222,8 +274,8 @@ func euclideanWindow(q MBR, radius float64) (latPad, lngPad float64) {
 }
 
 var (
-	haversineMetric = &metric{minDist: HaversineMinDist, window: haversineWindow}
-	euclideanMetric = &metric{minDist: EuclideanMinDist, window: euclideanWindow}
+	haversineMetric = &metric{minDist: HaversineMinDist, window: haversineWindow, lngLimit: 180, cyclic: true}
+	euclideanMetric = &metric{minDist: EuclideanMinDist, window: euclideanWindow, lngLimit: planarLimit}
 )
 
 // metricFor resolves a ground distance to its metric by function
@@ -253,104 +305,56 @@ func MinDistFor(df geo.DistanceFunc) MinDistFunc {
 	return m.minDist
 }
 
-// DefaultCell is the default grid cell edge in degrees: 0.05° ≈ 5.6 km
-// of latitude, sized so a typical urban trajectory MBR covers O(1)
-// cells (see DESIGN.md for the sizing argument).
+// DefaultCell is the grid cell edge in degrees: 0.05° ≈ 5.6 km of
+// latitude, sized so a typical urban trajectory MBR covers O(1) cells
+// (see DESIGN.md for the sizing argument).
 const DefaultCell = 0.05
 
 // DefaultMaxCover caps how many cells one MBR may occupy before it is
 // moved to the always-scanned overflow list.
 const DefaultMaxCover = 1024
 
-// IndexOptions configures an Index; the zero value selects haversine,
-// DefaultCell and DefaultMaxCover.
-type IndexOptions struct {
-	// Dist is the ground distance MinDist lower-bounds; nil selects
-	// geo.Haversine. Unrecognized distances disable pruning (the index
-	// stays consistent, Candidates returns everything).
-	Dist geo.DistanceFunc
-	// Cell is the grid cell edge in degrees (coordinate units for
-	// Euclidean data); 0 selects DefaultCell.
-	Cell float64
-	// MaxCover caps cells per MBR before overflow; 0 selects
-	// DefaultMaxCover.
-	MaxCover int
-}
-
 type cellKey struct{ lat, lng int32 }
 
-// Index is a uniform grid over MBRs keyed by small integer ids (slice
-// positions for the per-request indexes knn and join consume, registry
-// handles inside the store). It is not safe for concurrent use; the
-// store serializes access under its own lock.
+// Index is an immutable uniform grid over MBRs keyed by position: id k
+// is the k-th box it was built from, the shape knn and join consume.
+// The cell map is built on the first Candidates call, so a caller that
+// only reads boxes and MinDist (knn) never pays for it. An Index is safe
+// for concurrent use.
 type Index struct {
-	cell     float64
-	maxCover int
-	m        *metric
-	mbrs     map[int]MBR
-	cells    map[cellKey][]int
-	over     map[int]struct{} // oversize or polar MBRs: always scanned
+	m     *metric
+	boxes []MBR
+
+	once  sync.Once
+	cells map[cellKey][]int
+	over  []int // oversize, polar or non-finite MBRs: always scanned
 }
 
-// NewIndex creates an empty index. opt may be nil for defaults.
-func NewIndex(opt *IndexOptions) *Index {
-	ix := &Index{
-		cell:     DefaultCell,
-		maxCover: DefaultMaxCover,
-		mbrs:     make(map[int]MBR),
-		cells:    make(map[cellKey][]int),
-		over:     make(map[int]struct{}),
-	}
-	var df geo.DistanceFunc
-	if opt != nil {
-		df = opt.Dist
-		if opt.Cell > 0 {
-			ix.cell = opt.Cell
-		}
-		if opt.MaxCover > 0 {
-			ix.maxCover = opt.MaxCover
-		}
-	}
-	ix.m = metricFor(df)
-	return ix
+// NewIndex indexes boxes by position under the ground distance df; nil
+// selects geo.Haversine. Under an unrecognized distance the index never
+// prunes: MinDist is 0 and Candidates returns every id. The index keeps
+// boxes, which the caller must not modify afterwards.
+func NewIndex(boxes []MBR, df geo.DistanceFunc) *Index {
+	return &Index{m: metricFor(df), boxes: boxes}
 }
 
-// BuildIndex indexes a trajectory slice by position — the shape knn and
-// join consume. Nil or empty trajectories are rejected (the searches
-// reject them anyway; an index must not silently drop them).
+// BuildIndex indexes a trajectory slice by position. Nil or empty
+// trajectories are rejected (the searches reject them anyway; an index
+// must not silently drop them).
 func BuildIndex(ts []*traj.Trajectory, df geo.DistanceFunc) (*Index, error) {
-	ix := NewIndex(&IndexOptions{Dist: df})
+	boxes := make([]MBR, len(ts))
 	for i, t := range ts {
 		if t == nil || t.Len() == 0 {
 			return nil, fmt.Errorf("spatial: nil or empty trajectory at index %d", i)
 		}
-		ix.Insert(i, Bound(t.Points))
+		boxes[i] = Bound(t.Points)
 	}
-	return ix, nil
+	return NewIndex(boxes, df), nil
 }
 
-// Len returns the number of indexed MBRs.
-func (ix *Index) Len() int { return len(ix.mbrs) }
-
-// MBROf returns the indexed MBR for id.
-func (ix *Index) MBROf(id int) (MBR, bool) {
-	m, ok := ix.mbrs[id]
-	return m, ok
-}
-
-// IDs returns every indexed id in ascending order.
-func (ix *Index) IDs() []int {
-	out := make([]int, 0, len(ix.mbrs))
-	for id := range ix.mbrs {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Pruning reports whether the index has a sound MinDist for its ground
-// distance (false means Candidates returns everything and MinDist is 0).
-func (ix *Index) Pruning() bool { return ix.m != nil }
+// Boxes returns the indexed MBRs by position. The slice is the index's
+// own and must not be modified.
+func (ix *Index) Boxes() []MBR { return ix.boxes }
 
 // MinDist lower-bounds the index's ground distance between two boxes;
 // zero (never prunes) when the distance is unrecognized.
@@ -362,23 +366,24 @@ func (ix *Index) MinDist(a, b MBR) float64 {
 }
 
 // cellRange returns the inclusive cell coordinates covering [lo, hi].
-func (ix *Index) cellRange(lo, hi float64) (int32, int32) {
-	return int32(math.Floor(lo / ix.cell)), int32(math.Floor(hi / ix.cell))
+func cellRange(lo, hi float64) (int32, int32) {
+	return int32(math.Floor(lo / DefaultCell)), int32(math.Floor(hi / DefaultCell))
 }
 
+// within reports lo ≤ v ≤ hi; false for NaN.
+func within(v, lo, hi float64) bool { return v >= lo && v <= hi }
+
 // coverage enumerates the cells an MBR occupies; returns false when the
-// MBR belongs in the overflow list (too many cells, polar, or non-finite).
-func (ix *Index) coverage(m MBR, visit func(cellKey)) bool {
-	if m.MinLat < -polarCutoffDeg || m.MaxLat > polarCutoffDeg ||
-		math.IsInf(m.MinLat, 0) || math.IsInf(m.MaxLat, 0) ||
-		math.IsInf(m.MinLng, 0) || math.IsInf(m.MaxLng, 0) ||
-		m.MinLat != m.MinLat || m.MaxLat != m.MaxLat ||
-		m.MinLng != m.MinLng || m.MaxLng != m.MaxLng {
+// MBR belongs in the overflow list: too many cells, polar, inverted, or
+// outside the grid's longitude range (non-finite included).
+func coverage(m MBR, lngLimit float64, visit func(cellKey)) bool {
+	if !within(m.MinLat, -polarCutoffDeg, m.MaxLat) || !within(m.MaxLat, m.MinLat, polarCutoffDeg) ||
+		!within(m.MinLng, -lngLimit, m.MaxLng) || !within(m.MaxLng, m.MinLng, lngLimit) {
 		return false
 	}
-	la0, la1 := ix.cellRange(m.MinLat, m.MaxLat)
-	lo0, lo1 := ix.cellRange(m.MinLng, m.MaxLng)
-	if (int(la1-la0)+1)*(int(lo1-lo0)+1) > ix.maxCover {
+	la0, la1 := cellRange(m.MinLat, m.MaxLat)
+	lo0, lo1 := cellRange(m.MinLng, m.MaxLng)
+	if (int64(la1-la0)+1)*(int64(lo1-lo0)+1) > DefaultMaxCover {
 		return false
 	}
 	for la := la0; la <= la1; la++ {
@@ -389,83 +394,72 @@ func (ix *Index) coverage(m MBR, visit func(cellKey)) bool {
 	return true
 }
 
-// Insert adds (or replaces) an MBR under id.
-func (ix *Index) Insert(id int, m MBR) {
-	if _, ok := ix.mbrs[id]; ok {
-		ix.Remove(id)
-	}
-	ix.mbrs[id] = m
-	if !ix.coverage(m, func(k cellKey) {
-		ix.cells[k] = append(ix.cells[k], id)
-	}) {
-		ix.over[id] = struct{}{}
+// buildCells files every box under the cells it covers, or in the
+// overflow list; ids land in ascending order in both.
+func (ix *Index) buildCells() {
+	ix.cells = make(map[cellKey][]int)
+	for id, m := range ix.boxes {
+		if !coverage(m, ix.m.lngLimit, func(k cellKey) { ix.cells[k] = append(ix.cells[k], id) }) {
+			ix.over = append(ix.over, id)
+		}
 	}
 }
 
-// Remove deletes id from the index; it reports whether id was present.
-func (ix *Index) Remove(id int) bool {
-	m, ok := ix.mbrs[id]
-	if !ok {
-		return false
+// all returns every id in ascending order.
+func (ix *Index) all() []int {
+	out := make([]int, len(ix.boxes))
+	for i := range out {
+		out[i] = i
 	}
-	delete(ix.mbrs, id)
-	if _, over := ix.over[id]; over {
-		delete(ix.over, id)
-		return true
-	}
-	ix.coverage(m, func(k cellKey) {
-		ids := ix.cells[k]
-		for i, v := range ids {
-			if v == id {
-				ids = append(ids[:i], ids[i+1:]...)
-				break
-			}
-		}
-		if len(ids) == 0 {
-			delete(ix.cells, k)
-		} else {
-			ix.cells[k] = ids
-		}
-	})
-	return true
+	return out
 }
 
 // Candidates returns, in ascending id order, a superset of every indexed
 // id whose MinDist to q is at most radius. A negative radius returns
-// nil; a non-finite radius, an unrecognized ground distance, or a window
-// larger than the resident cell set degrade to "every id" — still a
-// correct superset, just unpruned.
+// nil; a non-finite radius or an unrecognized ground distance degrade to
+// "every id" — still a correct superset, just unpruned.
 func (ix *Index) Candidates(q MBR, radius float64) []int {
-	if radius < 0 || len(ix.mbrs) == 0 {
+	if radius < 0 || len(ix.boxes) == 0 {
 		return nil
 	}
 	if ix.m == nil || math.IsInf(radius, 0) || radius != radius {
-		return ix.IDs()
+		return ix.all()
 	}
 	latPad, lngPad := ix.m.window(q, radius)
-	if math.IsNaN(latPad) || math.IsNaN(lngPad) || math.IsInf(latPad, 0) {
-		return ix.IDs()
+	if math.IsNaN(latPad) || math.IsNaN(lngPad) || math.IsInf(latPad, 0) || math.IsInf(lngPad, 0) ||
+		!within(q.MinLng, -ix.m.lngLimit, q.MaxLng) || !within(q.MaxLng, q.MinLng, ix.m.lngLimit) {
+		return ix.all()
 	}
+	ix.once.Do(ix.buildCells)
 
-	la0, la1 := ix.cellRange(math.Max(q.MinLat-latPad, -90), math.Min(q.MaxLat+latPad, 90))
-	// The longitude window wraps at ±180: split it into at most two plain
-	// intervals over the stored coordinate range, in cell coordinates.
-	parts := lngWindows(q.MinLng-lngPad, q.MaxLng+lngPad)
+	// Every grid-filed box lies within ±polarCutoffDeg of latitude and
+	// ±lngLimit of longitude, so clipping the window to those ranges
+	// (which also keeps cell coordinates inside int32) loses none.
+	latLo, latHi := math.Max(q.MinLat-latPad, -polarCutoffDeg), math.Min(q.MaxLat+latPad, polarCutoffDeg)
+	if latLo > latHi {
+		return append([]int(nil), ix.over...)
+	}
+	la0, la1 := cellRange(latLo, latHi)
+	// A cyclic longitude window wraps at ±180: split it into at most two
+	// plain intervals over the stored coordinate range. A planar one is
+	// a single interval.
+	lo, hi := q.MinLng-lngPad, q.MaxLng+lngPad
+	parts := [][2]float64{{math.Max(lo, -ix.m.lngLimit), math.Min(hi, ix.m.lngLimit)}}
+	if ix.m.cyclic {
+		parts = lngWindows(lo, hi)
+	}
 	var cellParts [][2]int32
 	var window int64
 	for _, p := range parts {
-		lo0, lo1 := ix.cellRange(p[0], p[1])
-		cellParts = append(cellParts, [2]int32{lo0, lo1})
-		window += int64(la1-la0+1) * int64(lo1-lo0+1)
-	}
-
-	seen := make(map[int]struct{}, len(ix.over))
-	collect := func(ids []int) {
-		for _, id := range ids {
-			seen[id] = struct{}{}
+		if p[0] > p[1] {
+			continue
 		}
+		lo0, lo1 := cellRange(p[0], p[1])
+		cellParts = append(cellParts, [2]int32{lo0, lo1})
+		window += (int64(la1-la0) + 1) * (int64(lo1-lo0) + 1)
 	}
 
+	out := append([]int(nil), ix.over...)
 	// Visit window cells directly when that is cheaper than filtering
 	// the whole resident cell set; both strategies produce the same set.
 	if window > int64(len(ix.cells)) {
@@ -475,7 +469,7 @@ func (ix *Index) Candidates(q MBR, radius float64) []int {
 			}
 			for _, cp := range cellParts {
 				if k.lng >= cp[0] && k.lng <= cp[1] {
-					collect(ids)
+					out = append(out, ids...)
 					break
 				}
 			}
@@ -484,21 +478,14 @@ func (ix *Index) Candidates(q MBR, radius float64) []int {
 		for la := la0; la <= la1; la++ {
 			for _, cp := range cellParts {
 				for lo := cp[0]; lo <= cp[1]; lo++ {
-					collect(ix.cells[cellKey{la, lo}])
+					out = append(out, ix.cells[cellKey{la, lo}]...)
 				}
 			}
 		}
 	}
-	for id := range ix.over {
-		seen[id] = struct{}{}
-	}
-
-	out := make([]int, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
+	// A box covering several window cells is collected once per cell.
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // lngWindows clips the (possibly wrapping) longitude window [lo, hi] to

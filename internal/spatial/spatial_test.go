@@ -3,6 +3,8 @@ package spatial_test
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"trajmotif/internal/geo"
@@ -110,35 +112,115 @@ func TestMinDistClampCounterexample(t *testing.T) {
 	}
 }
 
-// TestCandidatesSuperset: every indexed id whose MinDist to the query is
-// within the radius must appear among the candidates, across random
-// boxes including polar and antimeridian-adjacent ones.
-func TestCandidatesSuperset(t *testing.T) {
-	r := rand.New(rand.NewSource(602))
-	for trial := 0; trial < 300; trial++ {
-		ix := spatial.NewIndex(nil) // haversine
-		n := 5 + r.Intn(40)
-		boxes := make([]spatial.MBR, n)
-		for i := range boxes {
-			boxes[i] = randMBR(r, 89.9, 179.9)
-			ix.Insert(i, boxes[i])
+// TestProbeBoundSoundness: under haversine the probe-to-box distance
+// never exceeds the distance from the probe to any point of a dense grid
+// over the box (edges included), for probes and boxes anywhere on the
+// globe, and it is the Clamp distance when the probe's longitude lies
+// inside the box's range.
+func TestProbeBoundSoundness(t *testing.T) {
+	r := rand.New(rand.NewSource(604))
+	const steps = 32
+	for trial := 0; trial < 1000; trial++ {
+		bb := randMBR(r, 89.9, 179.9)
+		p := geo.Point{Lat: (r.Float64()*2 - 1) * 89.9, Lng: (r.Float64()*2 - 1) * 179.9}
+		if trial%4 == 0 {
+			p.Lng = bb.MinLng + (bb.MaxLng-bb.MinLng)*r.Float64()
 		}
-		q := randMBR(r, 89.9, 179.9)
-		radius := math.Pow(10, 3+r.Float64()*4) // 1 km .. 10^7 m
-		got := ix.Candidates(q, radius)
-		seen := make(map[int]bool, len(got))
-		for _, id := range got {
-			seen[id] = true
-		}
-		for i, b := range boxes {
-			if spatial.HaversineMinDist(q, b) <= radius && !seen[i] {
-				t.Fatalf("trial %d: id %d (MinDist %.6g <= radius %.6g) missing from candidates\nq=%+v b=%+v",
-					trial, i, spatial.HaversineMinDist(q, b), radius, q, b)
+		lb := spatial.ProbeBound([]geo.Point{p}, bb, geo.Haversine)
+		for i := 0; i <= steps; i++ {
+			for j := 0; j <= steps; j++ {
+				q := geo.Point{
+					Lat: bb.MinLat + (bb.MaxLat-bb.MinLat)*float64(i)/steps,
+					Lng: bb.MinLng + (bb.MaxLng-bb.MinLng)*float64(j)/steps,
+				}
+				if d := geo.Haversine(p, q); d < lb {
+					t.Fatalf("trial %d: ProbeBound %.12g exceeds d(%v, %v) = %.12g\nbox=%+v", trial, lb, p, q, d, bb)
+				}
 			}
 		}
-		for k := 1; k < len(got); k++ {
-			if got[k-1] >= got[k] {
-				t.Fatalf("trial %d: candidates not in ascending id order: %v", trial, got)
+		if p.Lng >= bb.MinLng && p.Lng <= bb.MaxLng && lb != geo.Haversine(p, bb.Clamp(p)) {
+			t.Fatalf("trial %d: in-range ProbeBound %.12g, Clamp distance %.12g", trial, lb, geo.Haversine(p, bb.Clamp(p)))
+		}
+	}
+}
+
+// TestProbeBoundClampCounterexample pins the case a brute-force k-NN
+// check found: the probe's longitude lies 80° outside the box's range,
+// across the antimeridian, where the coordinate Clamp point is neither
+// on the nearer boundary meridian nor at the nearest latitude, so its
+// distance overshoots a real box corner's.
+func TestProbeBoundClampCounterexample(t *testing.T) {
+	p := geo.Point{Lat: 35.7, Lng: 140.15}
+	box := spatial.MBR{MinLat: 62.78, MaxLat: 62.86, MinLng: -139.97, MaxLng: -139.87}
+	corner := geo.Haversine(p, geo.Point{Lat: 62.86, Lng: -139.97})
+	if clamped := geo.Haversine(p, box.Clamp(p)); clamped <= corner {
+		t.Skipf("construction no longer demonstrates the clamp overshoot (%g <= %g)", clamped, corner)
+	}
+	if lb := spatial.ProbeBound([]geo.Point{p}, box, geo.Haversine); lb > corner {
+		t.Fatalf("ProbeBound %g exceeds a real box distance %g", lb, corner)
+	}
+}
+
+// TestCandidatesSuperset: every indexed id whose MinDist to the query is
+// within the radius must appear among the candidates. Under haversine
+// the random boxes include polar and antimeridian-adjacent ones; under
+// geo.Euclidean, whose x is a plain coordinate, boxes and queries range
+// far beyond ±180 and past the grid's cell range, and nothing may wrap
+// or drop out.
+func TestCandidatesSuperset(t *testing.T) {
+	r := rand.New(rand.NewSource(602))
+	cases := []struct {
+		name    string
+		df      geo.DistanceFunc
+		minDist spatial.MinDistFunc
+		// sample returns a box generator and a radius for one trial.
+		sample func() (func() spatial.MBR, float64)
+	}{
+		{"haversine", nil, spatial.HaversineMinDist, func() (func() spatial.MBR, float64) {
+			return func() spatial.MBR { return randMBR(r, 89.9, 179.9) },
+				math.Pow(10, 3+r.Float64()*4) // 1 km .. 10^7 m
+		}},
+		{"euclidean", geo.Euclidean, spatial.EuclideanMinDist, func() (func() spatial.MBR, float64) {
+			scale := math.Pow(10, float64(r.Intn(13))) // 1 .. 1e12
+			box := func() spatial.MBR {
+				x, y := (r.Float64()*2-1)*scale, (r.Float64()*2-1)*scale
+				w, h := r.Float64()*scale/50, r.Float64()*scale/50
+				if r.Intn(3) == 0 {
+					w, h = 0, 0
+				}
+				return spatial.MBR{MinLat: y, MaxLat: y + h, MinLng: x, MaxLng: x + w}
+			}
+			return box, r.Float64() * scale / 10
+		}},
+	}
+	for _, c := range cases {
+		for trial := 0; trial < 300; trial++ {
+			box, radius := c.sample()
+			n := 5 + r.Intn(40)
+			boxes := make([]spatial.MBR, n)
+			for i := range boxes {
+				boxes[i] = box()
+			}
+			ix := spatial.NewIndex(boxes, c.df)
+			q := box()
+			if r.Intn(4) == 0 {
+				q = boxes[r.Intn(n)]
+			}
+			got := ix.Candidates(q, radius)
+			seen := make(map[int]bool, len(got))
+			for _, id := range got {
+				seen[id] = true
+			}
+			for i, b := range boxes {
+				if d := c.minDist(q, b); d <= radius && !seen[i] {
+					t.Fatalf("%s trial %d: id %d (MinDist %.6g <= radius %.6g) missing from candidates\nq=%+v b=%+v",
+						c.name, trial, i, d, radius, q, b)
+				}
+			}
+			for k := 1; k < len(got); k++ {
+				if got[k-1] >= got[k] {
+					t.Fatalf("%s trial %d: candidates not in ascending id order: %v", c.name, trial, got)
+				}
 			}
 		}
 	}
@@ -147,10 +229,11 @@ func TestCandidatesSuperset(t *testing.T) {
 // TestCandidatesEdges covers the degenerate radii and the unrecognized-
 // metric fallback.
 func TestCandidatesEdges(t *testing.T) {
-	ix := spatial.NewIndex(nil)
-	for i := 0; i < 5; i++ {
-		ix.Insert(i, spatial.MBR{MinLat: float64(i), MaxLat: float64(i), MinLng: 0, MaxLng: 0})
+	boxes := make([]spatial.MBR, 5)
+	for i := range boxes {
+		boxes[i] = spatial.MBR{MinLat: float64(i), MaxLat: float64(i), MinLng: 0, MaxLng: 0}
 	}
+	ix := spatial.NewIndex(boxes, nil)
 	q := spatial.MBR{MinLat: 0, MaxLat: 0, MinLng: 0, MaxLng: 0}
 	if got := ix.Candidates(q, -1); got != nil {
 		t.Errorf("negative radius returned %v", got)
@@ -164,12 +247,8 @@ func TestCandidatesEdges(t *testing.T) {
 
 	// Unrecognized metric: index stays consistent but never prunes.
 	custom := func(p, q geo.Point) float64 { return geo.Haversine(p, q) * 2 }
-	ix2 := spatial.NewIndex(&spatial.IndexOptions{Dist: custom})
-	if ix2.Pruning() {
-		t.Error("unrecognized metric claims pruning")
-	}
-	ix2.Insert(7, spatial.MBR{MinLat: 50, MaxLat: 51, MinLng: 50, MaxLng: 51})
-	if got := ix2.Candidates(q, 1); len(got) != 1 || got[0] != 7 {
+	ix2 := spatial.NewIndex([]spatial.MBR{{MinLat: 50, MaxLat: 51, MinLng: 50, MaxLng: 51}}, custom)
+	if got := ix2.Candidates(q, 1); len(got) != 1 || got[0] != 0 {
 		t.Errorf("unrecognized metric must return everything, got %v", got)
 	}
 	if d := ix2.MinDist(q, spatial.MBR{MinLat: 80, MaxLat: 80, MinLng: 0, MaxLng: 0}); d != 0 {
@@ -177,52 +256,53 @@ func TestCandidatesEdges(t *testing.T) {
 	}
 }
 
-// TestInsertRemove exercises the incremental maintenance: removal
-// deletes exactly one id, reinsertion replaces the box, polar and
-// oversize boxes round-trip through the overflow list.
-func TestInsertRemove(t *testing.T) {
-	ix := spatial.NewIndex(nil)
-	boxes := map[int]spatial.MBR{
-		0: {MinLat: 10, MaxLat: 11, MinLng: 10, MaxLng: 11},
-		1: {MinLat: 88, MaxLat: 89, MinLng: 0, MaxLng: 1},       // polar: overflow
-		2: {MinLat: -60, MaxLat: 60, MinLng: -170, MaxLng: 170}, // oversize: overflow
-		3: {MinLat: 10.2, MaxLat: 10.4, MinLng: 10.2, MaxLng: 10.4},
+// TestOverflowBoxes: polar and oversize boxes live in the always-scanned
+// overflow list, so every finite query returns them, while grid-filed
+// boxes outside the window are pruned; the boxes read back unchanged.
+func TestOverflowBoxes(t *testing.T) {
+	boxes := []spatial.MBR{
+		{MinLat: 10, MaxLat: 11, MinLng: 10, MaxLng: 11},
+		{MinLat: 88, MaxLat: 89, MinLng: 0, MaxLng: 1},       // polar: overflow
+		{MinLat: -60, MaxLat: 60, MinLng: -170, MaxLng: 170}, // oversize: overflow
+		{MinLat: 10.2, MaxLat: 10.4, MinLng: 10.2, MaxLng: 10.4},
 	}
-	for id, b := range boxes {
-		ix.Insert(id, b)
+	ix := spatial.NewIndex(boxes, nil)
+	if got := ix.Boxes(); !reflect.DeepEqual(got, boxes) {
+		t.Fatalf("Boxes = %+v, want %+v", got, boxes)
 	}
-	if ix.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", ix.Len())
+	q := spatial.MBR{MinLat: 10, MaxLat: 10, MinLng: 10, MaxLng: 10}
+	if got := ix.Candidates(q, math.Inf(1)); !reflect.DeepEqual(got, []int{0, 1, 2, 3}) {
+		t.Fatalf("infinite-radius candidates = %v, want all 4", got)
 	}
-	all := ix.Candidates(spatial.MBR{MinLat: 10, MaxLat: 10, MinLng: 10, MaxLng: 10}, math.Inf(1))
-	if len(all) != 4 {
-		t.Fatalf("infinite-radius candidates = %v, want all 4", all)
+	if got := ix.Candidates(q, 1000); !reflect.DeepEqual(got, []int{0, 1, 2}) {
+		t.Fatalf("1 km candidates = %v, want box 0 and the overflow boxes 1, 2", got)
 	}
-	if !ix.Remove(1) || ix.Remove(1) {
-		t.Fatal("Remove(1) should succeed exactly once")
+}
+
+// TestCandidatesConcurrent: the first Candidates call builds the cell
+// map; concurrent first calls must agree (run under -race in CI).
+func TestCandidatesConcurrent(t *testing.T) {
+	r := rand.New(rand.NewSource(603))
+	boxes := make([]spatial.MBR, 50)
+	for i := range boxes {
+		boxes[i] = randMBR(r, 60, 179.9)
 	}
-	if _, ok := ix.MBROf(1); ok {
-		t.Fatal("removed id still has an MBR")
+	ix := spatial.NewIndex(boxes, nil)
+	q := boxes[0]
+	var wg sync.WaitGroup
+	got := make([][]int, 4)
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = ix.Candidates(q, 1e5)
+		}()
 	}
-	for _, id := range ix.Candidates(spatial.MBR{MinLat: 88, MaxLat: 88, MinLng: 0, MaxLng: 0}, math.Inf(1)) {
-		if id == 1 {
-			t.Fatal("removed id still yielded by Candidates")
+	wg.Wait()
+	for g := 1; g < len(got); g++ {
+		if !reflect.DeepEqual(got[g], got[0]) {
+			t.Fatalf("goroutine %d got %v, goroutine 0 got %v", g, got[g], got[0])
 		}
-	}
-	// Replace id 0 with a faraway box; the old cells must not leak it.
-	ix.Insert(0, spatial.MBR{MinLat: -40, MaxLat: -39, MinLng: -40, MaxLng: -39})
-	near := ix.Candidates(spatial.MBR{MinLat: 10.3, MaxLat: 10.3, MinLng: 10.3, MaxLng: 10.3}, 1000)
-	for _, id := range near {
-		if id == 0 {
-			t.Fatal("stale cells still yield a replaced id")
-		}
-	}
-	found := false
-	for _, id := range ix.Candidates(spatial.MBR{MinLat: -39.5, MaxLat: -39.5, MinLng: -39.5, MaxLng: -39.5}, 1000) {
-		found = found || id == 0
-	}
-	if !found {
-		t.Fatal("replaced id not found at its new location")
 	}
 }
 
@@ -230,11 +310,9 @@ func TestInsertRemove(t *testing.T) {
 // candidates at small radii — the cyclic gap, not the coordinate gap,
 // governs.
 func TestCandidatesAntimeridian(t *testing.T) {
-	ix := spatial.NewIndex(nil)
 	east := spatial.MBR{MinLat: 0, MaxLat: 1, MinLng: 179.5, MaxLng: 179.9}
 	west := spatial.MBR{MinLat: 0, MaxLat: 1, MinLng: -179.9, MaxLng: -179.5}
-	ix.Insert(0, east)
-	ix.Insert(1, west)
+	ix := spatial.NewIndex([]spatial.MBR{east, west}, nil)
 	gap := spatial.HaversineMinDist(east, west)
 	if gap > 100_000 {
 		t.Fatalf("antimeridian MinDist %.0f m treats the seam as far", gap)
@@ -256,12 +334,12 @@ func TestBuildIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.Len() != 2 {
-		t.Fatalf("Len = %d", ix.Len())
+	boxes := ix.Boxes()
+	if len(boxes) != 2 {
+		t.Fatalf("indexed %d boxes", len(boxes))
 	}
-	mb, ok := ix.MBROf(0)
-	if !ok || mb != spatial.Bound(ts[0].Points) {
-		t.Fatalf("MBROf(0) = %+v, want the Bound fold", mb)
+	if boxes[0] != spatial.Bound(ts[0].Points) {
+		t.Fatalf("box 0 = %+v, want the Bound fold", boxes[0])
 	}
 	if _, err := spatial.BuildIndex([]*traj.Trajectory{nil}, nil); err == nil {
 		t.Fatal("nil trajectory accepted")

@@ -531,17 +531,17 @@ func (s *Store) Dist() geo.DistanceFunc { return s.df }
 // recompute, so the returned index always describes exactly the
 // trajectories the caller is about to search.
 func (s *Store) IndexFor(ids []ID, ts []*traj.Trajectory) *spatial.Index {
-	ix := spatial.NewIndex(&spatial.IndexOptions{Dist: s.df})
+	boxes := make([]spatial.MBR, len(ts))
 	s.mu.Lock()
 	for k, t := range ts {
 		mbr, ok := s.mbrs[ids[k]]
 		if !ok {
 			mbr = spatial.Bound(t.Points)
 		}
-		ix.Insert(k, mbr)
+		boxes[k] = mbr
 	}
 	s.mu.Unlock()
-	return ix
+	return spatial.NewIndex(boxes, s.df)
 }
 
 // Stats snapshots the registry and cache state (TTL-expired entries are

@@ -42,8 +42,7 @@ func mbrParity(s *Store) (missing []ID, stale int) {
 
 // indexBox is the box IndexFor serves for one trajectory.
 func indexBox(s *Store, id ID, tr *traj.Trajectory) spatial.MBR {
-	mbr, _ := s.IndexFor([]ID{id}, []*traj.Trajectory{tr}).MBROf(0)
-	return mbr
+	return s.IndexFor([]ID{id}, []*traj.Trajectory{tr}).Boxes()[0]
 }
 
 // TestSpatialMaintenance: the MBR cache tracks Add/Remove exactly —
@@ -80,10 +79,10 @@ func TestSpatialMaintenance(t *testing.T) {
 	tr, _ := s.Get(ids[0])
 	gone := walkAt(r, 9, 10, 10)
 	ix := s.IndexFor([]ID{ids[0], "no-such-id"}, []*traj.Trajectory{tr, gone})
-	if ix.Len() != 2 {
-		t.Fatalf("IndexFor covered %d of 2", ix.Len())
+	if len(ix.Boxes()) != 2 {
+		t.Fatalf("IndexFor covered %d of 2", len(ix.Boxes()))
 	}
-	if mb, _ := ix.MBROf(1); mb != spatial.Bound(gone.Points) {
+	if mb := ix.Boxes()[1]; mb != spatial.Bound(gone.Points) {
 		t.Fatalf("IndexFor fallback MBR = %+v", mb)
 	}
 }

@@ -297,7 +297,7 @@ func ClusterSubtrajectories(t *Trajectory, window int, eps float64, opt *Cluster
 // Batch processing over trajectory collections (see internal/batch): the
 // fleet fans out over a bounded worker pool, and each search returns
 // results identical to a standalone run. Within-search parallelism
-// defaults to 1 inside a batch (BatchOptions.SearchWorkers raises it).
+// defaults to 1 inside a batch (BatchOptions.Search.Workers raises it).
 type (
 	// BatchItem is one trajectory's outcome in a batch discovery.
 	BatchItem = batch.Item
@@ -418,29 +418,23 @@ func NearestTrajectories(query *Trajectory, dataset []*Trajectory, k int, opt *K
 
 // Spatial indexing (see internal/spatial): a uniform-grid index over
 // trajectory MBRs whose MinDist lower-bounds the ground distance — and
-// therefore the DFD — between any points of two trajectories. Passing an
-// index via KNNOptions.Index or JoinOptions.Index prunes candidates
-// sub-linearly while returning results and effort statistics
-// byte-identical to the linear scan (the README's "Spatial indexing"
-// section states the soundness argument).
+// therefore the DFD — between any points of two trajectories. k-NN and
+// join always prune by it, returning results and effort statistics
+// byte-identical to an unpruned linear scan (the README's "Spatial
+// indexing" section states the soundness argument). Passing an index via
+// KNNOptions.Index or JoinOptions.Index only supplies the boxes, so a
+// caller that already holds them skips the fold.
 type (
 	// MBR is a minimum bounding rectangle in degrees, possibly spanning
 	// the antimeridian.
 	MBR = spatial.MBR
-	// SpatialIndex is the uniform-grid MBR index consulted by the k-NN,
-	// join and batch retrieval paths.
+	// SpatialIndex is the uniform-grid MBR index consulted by the k-NN
+	// and join retrieval paths.
 	SpatialIndex = spatial.Index
-	// SpatialIndexOptions configures a SpatialIndex (ground distance,
-	// cell size, overflow threshold).
-	SpatialIndexOptions = spatial.IndexOptions
 )
 
 // BoundMBR folds a point sequence into its minimum bounding rectangle.
 func BoundMBR(points []Point) MBR { return spatial.Bound(points) }
-
-// NewSpatialIndex creates an empty index; opt may be nil for defaults
-// (haversine ground distance, DefaultCell degree cells).
-func NewSpatialIndex(opt *SpatialIndexOptions) *SpatialIndex { return spatial.NewIndex(opt) }
 
 // BuildSpatialIndex indexes a dataset slice by position, keyed the way
 // NearestTrajectories and SimilarityJoin expect. df may be nil for
