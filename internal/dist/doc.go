@@ -50,8 +50,9 @@
 //   - DFDCapped — early-abandoning exact verification: stops as soon as a
 //     completed DP row proves the distance is at least the cap, returning
 //     a lower bound instead of burning the full O(n·m) table;
-//   - DFDDecision — the "DFD <= eps?" decision DP, which kills cells
-//     above eps and abandons when a row dies;
+//   - DFDDecision — the "DFD <= eps?" decision: a greedy O(n+m) walk
+//     certifies most "yes" answers, and otherwise the decision DP kills
+//     cells above eps and abandons when a row dies;
 //   - DFDFromGridCapped — the capped kernel over a sub-window of a
 //     precomputed ground-distance grid (a dmatrix.Matrix or any Grid),
 //     without copying the window out of the shared matrix;

@@ -66,12 +66,18 @@ func FuzzDFDKernel(f *testing.F) {
 			t.Fatalf("DFD returned NaN for finite coordinates")
 		}
 
-		// Decision and exact agreement, including at the boundary.
-		for _, e := range []float64{eps, d} {
+		// Decision and exact agreement, including at the boundary, on
+		// both of the decision's paths: a greedy certificate must be a
+		// true "within", and when the walk gets stuck the live-cell DP
+		// must still give the exact answer.
+		for _, e := range []float64{eps, d, math.Nextafter(d, math.Inf(-1))} {
 			if math.IsInf(e, 0) {
 				continue
 			}
 			want := d <= e
+			if dist.GreedyWithin(a, b, geo.Euclidean, e) && !want {
+				t.Fatalf("greedy walk certified eps=%g, DFD = %g (lens %d, %d)", e, d, len(a), len(b))
+			}
 			if got := dist.DFDDecision(a, b, geo.Euclidean, e); got != want {
 				t.Fatalf("DFDDecision(eps=%g) = %v, DFD = %g wants %v (lens %d, %d)",
 					e, got, d, want, len(a), len(b))

@@ -95,6 +95,40 @@ func TestProjectedDecisionParity(t *testing.T) {
 	t.Logf("fallbacks %d across %d decisions", totalFallbacks, totalDecisions)
 }
 
+// TestGreedyCertificate sweeps eps around the DFD of random city-scale
+// pairs: a greedy certificate is always a true "within", the decision
+// equals DFD <= eps whether the walk arrives or gets stuck, and both
+// outcomes occur among the "within" answers.
+func TestGreedyCertificate(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	var certified, stuckWithin int
+	for trial := 0; trial < 60; trial++ {
+		a := speedTrack(rng, geo.Point{Lat: 39.9, Lng: 116.4}, 1+rng.Intn(40), 0.01)
+		b := speedTrack(rng, geo.Point{Lat: 39.91, Lng: 116.41}, 1+rng.Intn(40), 0.01)
+		if len(b) > len(a) {
+			a, b = b, a
+		}
+		d := DFD(a, b, geo.Haversine)
+		for _, eps := range []float64{d * 0.5, math.Nextafter(d, 0), d, d * 1.05, d * 2} {
+			g := pointGrid{a, b, geo.Haversine}
+			greedy := greedyWithin(g, len(a), len(b), eps)
+			got := decision(g, len(a), len(b), eps)
+			if greedy && !(d <= eps) || got != (d <= eps) {
+				t.Fatalf("trial %d eps %v: greedy %v, decision %v, DFD %v", trial, eps, greedy, got, d)
+			}
+			switch {
+			case greedy:
+				certified++
+			case got:
+				stuckWithin++
+			}
+		}
+	}
+	if certified == 0 || stuckWithin == 0 {
+		t.Fatalf("certified %d, stuck but within %d: a path went untested", certified, stuckWithin)
+	}
+}
+
 // TestProjectedDecisionFallbacks forces the uncertain band: a frame
 // over a tens-of-degrees region has a percent-scale error band, so an
 // eps in the middle of the pair distances must take per-cell haversine
@@ -173,6 +207,12 @@ func FuzzProjectedDecision(f *testing.F) {
 	f.Add(int64(2), 84.9, 179.0, 0.4, 20000.0)
 	f.Add(int64(3), -30.0, -179.99, 2.0, 150000.0)
 	f.Add(int64(4), 0.0, 0.0, 0.0001, 3.0)
+	// Pole-adjacent pairs, inside and beyond the frame's ±85° range.
+	f.Add(int64(5), 84.95, 30.0, 0.02, 800.0)
+	f.Add(int64(6), -88.0, -60.0, 0.3, 5000.0)
+	// Antimeridian pairs: the box union wraps, so the frame is refused.
+	f.Add(int64(7), 12.0, 179.995, 0.01, 900.0)
+	f.Add(int64(8), -45.0, -179.99, 0.05, 3000.0)
 	f.Fuzz(func(t *testing.T, seed int64, lat, lng, step, eps float64) {
 		if math.IsNaN(lat) || math.IsNaN(lng) || math.IsNaN(step) || math.IsNaN(eps) {
 			t.Skip()
@@ -182,8 +222,8 @@ func FuzzProjectedDecision(f *testing.F) {
 		step = math.Mod(math.Abs(step), 3)
 		eps = math.Mod(math.Abs(eps), 2e7)
 		rng := rand.New(rand.NewSource(seed))
-		a := speedTrack(rng, geo.Point{Lat: lat, Lng: lng}, 2+rng.Intn(20), step)
-		b := speedTrack(rng, geo.Point{Lat: lat, Lng: lng}, 2+rng.Intn(20), step)
+		a := wrapLngs(speedTrack(rng, geo.Point{Lat: lat, Lng: lng}, 2+rng.Intn(20), step))
+		b := wrapLngs(speedTrack(rng, geo.Point{Lat: lat, Lng: lng}, 2+rng.Intn(20), step))
 		minLat, maxLat, minLng, maxLng := bounds2(a, b)
 		fr := geo.FrameFor(minLat, maxLat, minLng, maxLng)
 		var pa, pb []geo.Projected
@@ -196,7 +236,31 @@ func FuzzProjectedDecision(f *testing.F) {
 			t.Fatalf("projected %v != haversine %v (frame ok=%v, fallbacks=%d, eps=%v)",
 				got, want, fr.OK(), n, eps)
 		}
+
+		// The knn leg: knn decides a candidate against kth exactly, so at
+		// eps = DFD the decision must say within, and at the float below,
+		// beyond.
+		d := DFD(a, b, geo.Haversine)
+		if !DFDDecisionProjected(a, b, pa, pb, fr, d, &n) {
+			t.Fatalf("projected decision at eps = DFD %v says beyond (frame ok=%v)", d, fr.OK())
+		}
+		if below := math.Nextafter(d, 0); below < d && DFDDecisionProjected(a, b, pa, pb, fr, below, &n) {
+			t.Fatalf("projected decision at eps = %v, below DFD %v, says within (frame ok=%v)", below, d, fr.OK())
+		}
 	})
+}
+
+// wrapLngs folds longitudes back into [-180, 180], so a walk that drifts
+// across the antimeridian straddles it the way stored data does.
+func wrapLngs(pts []geo.Point) []geo.Point {
+	for i := range pts {
+		if pts[i].Lng > 180 {
+			pts[i].Lng -= 360
+		} else if pts[i].Lng < -180 {
+			pts[i].Lng += 360
+		}
+	}
+	return pts
 }
 
 // BenchmarkKernelVariants measures per-DP-cell cost of each ground-

@@ -12,8 +12,10 @@
 //  2. bounding-box bound — every point of A is matched to some point of
 //     B, so DFD >= the minimal distance from any A point to B's bounding
 //     box; probing a few A points costs O(1);
-//  3. decision procedure — DFDWithin answers "DFD <= eps?" by a pruned
-//     dynamic program that abandons as soon as a full row dies, usually
+//  3. decision procedure — DFDWithin answers "DFD <= eps?". A greedy walk
+//     along the diagonal first tries to certify "yes" with one coupling
+//     inside eps, at O(l) cells; when it gets stuck, a pruned dynamic
+//     program decides, abandoning as soon as a full row dies, usually
 //     long before the O(l^2) table is complete.
 //
 // In front of the cascade, a spatial MBR index retrieves the candidate
@@ -23,8 +25,9 @@
 // index rejects is exactly one filter 1 would have rejected — the
 // surviving pairs run the unchanged cascade in the same (i, j) order.
 // Under haversine, filter 3 runs through the equirectangular projected
-// decision kernel: cells the per-pair frame's certified error band can
-// decide skip the haversine, and undecidable cells fall back per cell.
+// decision kernel in the pair's frame (spatial.PairFrame): cells the
+// frame's certified error band can decide skip the haversine, and
+// undecidable cells fall back per cell.
 // Results and the Stats counters other than IndexConsulted, IndexPruned
 // and ProjectionFallbacks are byte-identical to an all-pairs scan with
 // the plain decision DP (the reference kept in join_parity_test.go).
@@ -32,7 +35,6 @@ package join
 
 import (
 	"fmt"
-	"math"
 
 	"trajmotif/internal/dist"
 	"trajmotif/internal/geo"
@@ -187,7 +189,7 @@ func Join(ts []*traj.Trajectory, eps float64, opt *Options) ([]Pair, Stats, erro
 			// frame's error band cannot certify the comparison).
 			var within bool
 			if hav {
-				f := pairFrame(boxes[i], boxes[j])
+				f := spatial.PairFrame(boxes[i], boxes[j])
 				var pa, pb []geo.Projected
 				if f.OK() {
 					pa = ts[i].ProjectedPoints(f)
@@ -224,16 +226,4 @@ func DFDWithin(a, b []geo.Point, df geo.DistanceFunc, eps float64) bool {
 		return false
 	}
 	return dist.DFDDecision(a, b, df, eps)
-}
-
-// pairFrame builds the shared projection frame for a candidate pair from
-// the union of the two trajectories' bounding boxes. The zero Frame (not
-// OK) is returned for regions the certified error band cannot cover —
-// pole-adjacent, antimeridian-spanning, or very wide boxes — and the
-// caller falls back to the haversine decision for the whole pair.
-func pairFrame(a, b spatial.MBR) geo.Frame {
-	return geo.FrameFor(
-		math.Min(a.MinLat, b.MinLat), math.Max(a.MaxLat, b.MaxLat),
-		math.Min(a.MinLng, b.MinLng), math.Max(a.MaxLng, b.MaxLng),
-	)
 }

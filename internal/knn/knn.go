@@ -6,9 +6,12 @@
 //  1. every candidate gets a cheap lower bound (endpoint distances and
 //     bounding-box probes, both O(1) after one pass over the points);
 //  2. candidates are visited in ascending lower-bound order;
-//  3. the exact DFD dynamic program runs with an early-abandon cap equal
-//     to the current k-th best distance, so hopeless candidates die after
-//     a few rows;
+//  3. decide against kth, then measure: once k neighbours are held, the
+//     decision "DFD <= kth?" runs first (under haversine, in the pair's
+//     projected frame at a few ns per cell), and only a candidate within
+//     kth pays for the exact DFD dynamic program. That program runs with
+//     an early-abandon cap just above the current k-th best distance, so
+//     while the heap fills hopeless candidates die after a few rows;
 //  4. the search stops as soon as the next lower bound exceeds the k-th
 //     best — the remaining candidates cannot improve the result.
 //
@@ -19,9 +22,10 @@
 // without a single ground-distance evaluation or point scan. Refinement
 // happens in the exact ascending (bound, index) order a linear scan of
 // the cheap bounds would sort into, so the search visits the same
-// dynamic programs against the same caps in the same order — results
-// and the Stats counters other than IndexConsulted/IndexPruned are
-// byte-identical to that scan (the reference kept in knn_parity_test.go).
+// decisions and dynamic programs against the same kth in the same order —
+// results and the Stats counters other than IndexConsulted/IndexPruned
+// are byte-identical to that scan (the reference kept in
+// knn_parity_test.go).
 package knn
 
 import (
@@ -47,8 +51,8 @@ type Neighbor struct {
 // Stats describes the pruning achieved by a search.
 type Stats struct {
 	Candidates     int64 // dataset size
-	SkippedByLB    int64 // never reached the DP
-	AbandonedEarly int64 // DP started but died against the cap
+	SkippedByLB    int64 // never verified: lower bound above kth
+	AbandonedEarly int64 // decided beyond kth, or DP died against the cap
 	Exact          int64 // full DFD computations that completed
 	// IndexConsulted counts spatial-index consultations (one per
 	// search); IndexPruned counts candidates the MBR bound rejected before
@@ -56,6 +60,11 @@ type Stats struct {
 	// byte-identical to the unpruned linear scan.
 	IndexConsulted int64
 	IndexPruned    int64
+	// ProjectionFallbacks counts decision cells (or whole candidates,
+	// when no valid frame exists) where the projected kernel's error
+	// band could not certify the comparison against kth and the
+	// haversine was consulted. Zero under any other ground distance.
+	ProjectionFallbacks int64
 }
 
 // Options tunes the search; zero value uses haversine.
@@ -156,10 +165,41 @@ func Nearest(query *traj.Trajectory, dataset []*traj.Trajectory, k int, opt *Opt
 	h := &nbrHeap{}
 	heap.Init(h)
 	kth := math.Inf(1)
-	// process runs the exact DP for one candidate against the current cap.
+	// Under haversine, once the heap is full each candidate is first
+	// decided against kth in the pair's projected frame. The query is
+	// projected once per frame RefKey and the candidate into one reused
+	// buffer: the per-trajectory projection cache would keep a copy of
+	// every candidate's points alive for the registry's lifetime.
+	qProj := map[int32][]geo.Projected{}
+	var cProj []geo.Projected
+	// within decides DFD(q, candidate) <= kth.
+	within := func(idx int) bool {
+		p := dataset[idx].Points
+		f := spatial.PairFrame(qBox, boxes[idx])
+		var pq []geo.Projected
+		cProj = cProj[:0]
+		if f.OK() {
+			key := f.RefKey()
+			if pq = qProj[key]; pq == nil {
+				pq = f.ProjectAll(q)
+				qProj[key] = pq
+			}
+			for _, pt := range p {
+				cProj = append(cProj, f.Project(pt))
+			}
+		}
+		return dist.DFDDecisionProjected(q, p, pq, cProj, f, kth, &st.ProjectionFallbacks)
+	}
+	// process verifies one candidate: under haversine with a full heap, a
+	// decision against kth drops it when DFD > kth; otherwise the exact
+	// DP runs against the current cap.
 	process := func(idx int) {
 		capd := math.Inf(1)
 		if h.Len() == k {
+			if hav && !within(idx) {
+				st.AbandonedEarly++
+				return
+			}
 			capd = math.Nextafter(kth, math.Inf(1))
 		}
 		d, exceeded := dist.DFDCapped(q, dataset[idx].Points, df, capd)

@@ -17,9 +17,11 @@ import (
 // linearNearest is the unpruned reference search: the cheap lower bound
 // (endpoint distances, then box probes both ways, all through plain df)
 // for every candidate, visited in ascending (lb, index) order, with the
-// same early-abandoning DP and k-th-best cap as Nearest. Nearest must
-// match it in results and in every Stats counter except IndexConsulted
-// and IndexPruned, which it leaves zero.
+// same verification as Nearest — under haversine, a projected decision
+// against kth once k neighbours are held, then the early-abandoning DP
+// with the k-th-best cap. Nearest must match it in results and in every
+// Stats counter except IndexConsulted and IndexPruned, which it leaves
+// zero.
 func linearNearest(query *traj.Trajectory, dataset []*traj.Trajectory, k int, df geo.DistanceFunc) ([]Neighbor, Stats) {
 	q := query.Points
 	qBox := spatial.Bound(q)
@@ -48,11 +50,23 @@ func linearNearest(query *traj.Trajectory, dataset []*traj.Trajectory, k int, df
 		if h.Len() == k && c.lb > kth {
 			break
 		}
+		p := dataset[c.idx].Points
 		capd := math.Inf(1)
 		if h.Len() == k {
+			if geo.IsHaversine(df) {
+				f := spatial.PairFrame(qBox, spatial.Bound(p))
+				var pq, pp []geo.Projected
+				if f.OK() {
+					pq, pp = f.ProjectAll(q), f.ProjectAll(p)
+				}
+				if !dist.DFDDecisionProjected(q, p, pq, pp, f, kth, &st.ProjectionFallbacks) {
+					st.AbandonedEarly++
+					continue
+				}
+			}
 			capd = math.Nextafter(kth, math.Inf(1))
 		}
-		d, exceeded := dist.DFDCapped(q, dataset[c.idx].Points, df, capd)
+		d, exceeded := dist.DFDCapped(q, p, df, capd)
 		if exceeded {
 			st.AbandonedEarly++
 			continue

@@ -241,6 +241,70 @@ func TestNearestLexicographicProperty(t *testing.T) {
 	}
 }
 
+// TestNearestDecisionTieAtKth pins the decision-first verification's
+// radius to kth itself under haversine. Candidates X and Y share the one
+// point F that sets their DFD to the query, so both distances are the
+// same float, but Y's nearer first point gives it the lower bound and Y
+// is verified first. X, at the lower index, must still displace Y from
+// the k-th slot, which only a decision at eps = kth lets through (at the
+// float below kth, X would be decided beyond). Duplicates of X and Y at
+// higher indexes put more ties on the slot, and Z, nearer than all of
+// them, fills the heap before the ties arrive at k = 3.
+func TestNearestDecisionTieAtKth(t *testing.T) {
+	var q []geo.Point
+	for i := 0; i < 5; i++ {
+		q = append(q, geo.Point{Lat: 40, Lng: 116 + 0.001*float64(i)})
+	}
+	// F is due north of q[1] and about 1.1 km from it, nearer to it than
+	// to any other query point, so every coupling's bottleneck is F-q[1].
+	cand := func(firstLat float64) *traj.Trajectory {
+		return traj.FromPoints([]geo.Point{
+			{Lat: firstLat, Lng: 116}, {Lat: 40.01, Lng: 116.001}, q[2], q[3], q[4],
+		})
+	}
+	x, y := cand(40.002), cand(40.001)
+	zp := make([]geo.Point, len(q))
+	for i, p := range q {
+		zp[i] = geo.Point{Lat: p.Lat + 0.0001, Lng: p.Lng}
+	}
+	z := traj.FromPoints(zp)
+	w := traj.FromPoints([]geo.Point{{Lat: 41, Lng: 116}, {Lat: 41, Lng: 116.004}})
+	query := traj.FromPoints(q)
+
+	d := dist.DFD(q, x.Points, geo.Haversine)
+	if dy := dist.DFD(q, y.Points, geo.Haversine); dy != d {
+		t.Fatalf("construction broken: DFD to X %v, to Y %v", d, dy)
+	}
+	ties := []*traj.Trajectory{x, y, y, x, w}
+	for _, tc := range []struct {
+		ds   []*traj.Trajectory
+		k    int
+		want []int
+	}{
+		{ties, 1, []int{0}},
+		{append(ties, z), 3, []int{5, 0, 1}},
+	} {
+		got, st, err := Nearest(query, tc.ds, tc.k, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := make([]Neighbor, len(tc.ds))
+		for i, c := range tc.ds {
+			all[i] = Neighbor{Index: i, Distance: dist.DFD(q, c.Points, geo.Haversine)}
+		}
+		sort.Slice(all, func(a, b int) bool { return nbrLess(all[a], all[b]) })
+		for i, nb := range got {
+			if nb != all[i] || nb.Index != tc.want[i] {
+				t.Fatalf("k=%d rank %d: got %+v, brute force %+v, want index %d", tc.k, i, nb, all[i], tc.want[i])
+			}
+		}
+		if len(got) != tc.k || st.Exact+st.AbandonedEarly == 0 {
+			t.Fatalf("k=%d: %d results, stats %+v", tc.k, len(got), st)
+		}
+		checkParity(t, query, tc.ds, tc.k, nil)
+	}
+}
+
 func TestNearestOnFleet(t *testing.T) {
 	// Ten trucks from the same depot; the query's nearest neighbours must
 	// be trucks, never the baboon decoy.

@@ -153,7 +153,7 @@ var statRows = [...]statRow{
 		func(v *statsSnapshot) any { return v.PairDistsBuilt }},
 	{"pairDistsReused", "motifserve_pair_dists_reused_total", "counter", "Endpoint-distance memo hits across /join.",
 		func(v *statsSnapshot) any { return v.PairDistsReused }},
-	{"projectionFallbacks", "motifserve_projection_fallbacks_total", "counter", "Projected /join decision cells (or whole pairs) the certified error band could not decide, answered by the haversine.",
+	{"projectionFallbacks", "motifserve_projection_fallbacks_total", "counter", "Projected /knn and /join decision cells (or whole pairs) the certified error band could not decide, answered by the haversine.",
 		func(v *statsSnapshot) any { return v.projectionFallbacks }},
 	{"diskArtifacts", "motifserve_disk_artifacts", "gauge", "Artifacts resident in the disk tier (0 = tier disabled).",
 		func(v *statsSnapshot) any { return v.DiskArtifacts }},

@@ -857,6 +857,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	}
 	s.indexConsulted.Add(st.IndexConsulted)
 	s.indexPruned.Add(st.IndexPruned)
+	s.projectionFallbacks.Add(st.ProjectionFallbacks)
 	out := knnResponse{Neighbors: make([]neighborResponse, len(nbrs)), Stats: st}
 	for k, nb := range nbrs {
 		out.Neighbors[k] = neighborResponse{ID: ids[nb.Index], Index: nb.Index, Distance: nb.Distance}

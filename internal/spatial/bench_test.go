@@ -16,6 +16,9 @@ import (
 // one stored trajectory against the other 1999, and a 500 m similarity
 // join over a 100-trajectory window. Both take their boxes from
 // store.IndexFor, as /knn and /join do, and the index build is timed.
+// Each reports its effort counters per op next to pruned/op: knn's exact
+// and abandoned verifications and projection fallbacks, and join's
+// reported pairs and fallbacks.
 func BenchmarkRetrieval(b *testing.B) {
 	const n, points = 2000, 100
 	st := store.New(nil)
@@ -35,26 +38,29 @@ func BenchmarkRetrieval(b *testing.B) {
 
 	b.Run("knn", func(b *testing.B) {
 		q, dsIDs, ds := ts[0], ids[1:], ts[1:]
-		var pruned int64
+		var kst knn.Stats
 		for i := 0; i < b.N; i++ {
-			_, kst, err := knn.Nearest(q, ds, 5, &knn.Options{Index: st.IndexFor(dsIDs, ds)})
-			if err != nil {
+			var err error
+			if _, kst, err = knn.Nearest(q, ds, 5, &knn.Options{Index: st.IndexFor(dsIDs, ds)}); err != nil {
 				b.Fatal(err)
 			}
-			pruned = kst.IndexPruned
 		}
-		b.ReportMetric(float64(pruned), "pruned/op")
+		b.ReportMetric(float64(kst.IndexPruned), "pruned/op")
+		b.ReportMetric(float64(kst.Exact), "exact/op")
+		b.ReportMetric(float64(kst.AbandonedEarly), "abandoned/op")
+		b.ReportMetric(float64(kst.ProjectionFallbacks), "fallbacks/op")
 	})
 	b.Run("join", func(b *testing.B) {
 		wIDs, w := ids[:100], ts[:100]
-		var pruned int64
+		var jst join.Stats
 		for i := 0; i < b.N; i++ {
-			_, jst, err := join.Join(w, 500, &join.Options{Index: st.IndexFor(wIDs, w)})
-			if err != nil {
+			var err error
+			if _, jst, err = join.Join(w, 500, &join.Options{Index: st.IndexFor(wIDs, w)}); err != nil {
 				b.Fatal(err)
 			}
-			pruned = jst.IndexPruned
 		}
-		b.ReportMetric(float64(pruned), "pruned/op")
+		b.ReportMetric(float64(jst.IndexPruned), "pruned/op")
+		b.ReportMetric(float64(jst.Reported), "reported/op")
+		b.ReportMetric(float64(jst.ProjectionFallbacks), "fallbacks/op")
 	})
 }

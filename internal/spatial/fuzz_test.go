@@ -90,18 +90,7 @@ func FuzzSpatialIndex(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := make([]knn.Neighbor, len(dataset))
-		for i, c := range dataset {
-			want[i] = knn.Neighbor{Index: i, Distance: dist.DFD(query.Points, c.Points, geo.Haversine)}
-		}
-		sort.Slice(want, func(a, b int) bool {
-			if want[a].Distance != want[b].Distance {
-				return want[a].Distance < want[b].Distance
-			}
-			return want[a].Index < want[b].Index
-		})
-		want = want[:min(k, len(want))]
-		if !reflect.DeepEqual(nbrs, want) {
+		if want := bruteNearest(query, dataset, k, geo.Haversine); !reflect.DeepEqual(nbrs, want) {
 			t.Fatalf("knn k=%d:\ngot  %+v\nwant %+v", k, nbrs, want)
 		}
 		if kst.Candidates != int64(len(dataset)) || kst.IndexConsulted != 1 ||
@@ -115,15 +104,7 @@ func FuzzSpatialIndex(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var wantP []join.Pair
-		for i := range ts {
-			for j := i + 1; j < len(ts); j++ {
-				if join.DFDWithin(ts[i].Points, ts[j].Points, geo.Haversine, radius) {
-					wantP = append(wantP, join.Pair{I: i, J: j, Distance: radius})
-				}
-			}
-		}
-		if !reflect.DeepEqual(pairs, wantP) {
+		if wantP := bruteJoin(ts, radius, geo.Haversine); !reflect.DeepEqual(pairs, wantP) {
 			t.Fatalf("join eps=%g:\ngot  %+v\nwant %+v", radius, pairs, wantP)
 		}
 		nt := int64(len(ts))
@@ -133,4 +114,69 @@ func FuzzSpatialIndex(f *testing.F) {
 			t.Fatalf("join counters do not add up: %+v (%d pairs)", jst, len(pairs))
 		}
 	})
+}
+
+// bruteNearest is the knn oracle: the DFD to every candidate, sorted by
+// (distance, index), cut at k.
+func bruteNearest(query *traj.Trajectory, dataset []*traj.Trajectory, k int, df geo.DistanceFunc) []knn.Neighbor {
+	want := make([]knn.Neighbor, len(dataset))
+	for i, c := range dataset {
+		want[i] = knn.Neighbor{Index: i, Distance: dist.DFD(query.Points, c.Points, df)}
+	}
+	sort.Slice(want, func(a, b int) bool {
+		if want[a].Distance != want[b].Distance {
+			return want[a].Distance < want[b].Distance
+		}
+		return want[a].Index < want[b].Index
+	})
+	return want[:min(k, len(want))]
+}
+
+// bruteJoin is the join oracle: every pair DFDWithin accepts, in (i, j)
+// order.
+func bruteJoin(ts []*traj.Trajectory, eps float64, df geo.DistanceFunc) []join.Pair {
+	var want []join.Pair
+	for i := range ts {
+		for j := i + 1; j < len(ts); j++ {
+			if join.DFDWithin(ts[i].Points, ts[j].Points, df, eps) {
+				want = append(want, join.Pair{I: i, J: j, Distance: eps})
+			}
+		}
+	}
+	return want
+}
+
+// wrappedHaversine is geo.Haversine behind a function the spatial
+// package does not recognize, so no box bound is known for it.
+func wrappedHaversine(a, b geo.Point) float64 { return geo.Haversine(a, b) }
+
+// TestUnrecognizedDistanceBruteForce pins knn and join under a ground
+// distance with no known box bound against brute force. On this corpus a
+// coordinate-clamp probe once passed for a lower bound under such
+// distances, and knn returned neighbour 16 where 11 is the nearest.
+func TestUnrecognizedDistanceBruteForce(t *testing.T) {
+	ts := fuzzCorpus(-293, 24)
+	query, dataset := ts[0], ts[1:]
+	for _, k := range []int{1, 3, 5} {
+		got, _, err := knn.Nearest(query, dataset, k, &knn.Options{Dist: wrappedHaversine})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := bruteNearest(query, dataset, k, wrappedHaversine); !reflect.DeepEqual(got, want) {
+			t.Fatalf("knn k=%d:\ngot  %+v\nwant %+v", k, got, want)
+		}
+	}
+	// Every pair distance is a radius at which that pair is just within.
+	for i := range ts {
+		for j := i + 1; j < len(ts); j++ {
+			eps := dist.DFD(ts[i].Points, ts[j].Points, wrappedHaversine)
+			got, _, err := join.Join(ts, eps, &join.Options{Dist: wrappedHaversine})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := bruteJoin(ts, eps, wrappedHaversine); !reflect.DeepEqual(got, want) {
+				t.Fatalf("join eps=%g:\ngot  %+v\nwant %+v", eps, got, want)
+			}
+		}
+	}
 }

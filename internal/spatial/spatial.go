@@ -90,10 +90,15 @@ func (m MBR) Clamp(p geo.Point) geo.Point {
 // coupling matches each probed point of a to some point in bb, so the
 // max probe-to-box distance is a lower bound. Probes first, middle, last.
 // Under haversine the probe-to-box distance is the spherical one of
-// haversinePointBoxPrepared; under any other distance it is df to the
-// Clamp point, which is the nearest box point for geo.Euclidean.
+// haversinePointBoxPrepared, and under geo.Euclidean it is the distance
+// to the Clamp point, the nearest box point in the plane. Any other
+// ground distance has no known nearest box point, so the bound is zero,
+// the same policy as Index.MinDist.
 func ProbeBound(a []geo.Point, bb MBR, df geo.DistanceFunc) float64 {
 	hav := geo.IsHaversine(df)
+	if !hav && metricFor(df) != euclideanMetric {
+		return 0
+	}
 	lb := 0.0
 	for _, idx := range [...]int{0, len(a) / 2, len(a) - 1} {
 		p := a[idx]
@@ -101,13 +106,25 @@ func ProbeBound(a []geo.Point, bb MBR, df geo.DistanceFunc) float64 {
 		if hav {
 			d = haversinePointBoxPrepared(p, geo.CosLat(p), bb)
 		} else {
-			d = df(p, bb.Clamp(p))
+			d = geo.Euclidean(p, bb.Clamp(p))
 		}
 		if d > lb {
 			lb = d
 		}
 	}
 	return lb
+}
+
+// PairFrame is the projection frame a pair decision runs in: the frame
+// over the union of the two trajectories' boxes. knn and join both build
+// their frames here. The frame is invalid (not OK) for regions the
+// certified error band cannot cover: pole-adjacent, antimeridian-spanning
+// or very wide unions, which must fall back to the haversine.
+func PairFrame(a, b MBR) geo.Frame {
+	return geo.FrameFor(
+		math.Min(a.MinLat, b.MinLat), math.Max(a.MaxLat, b.MaxLat),
+		math.Min(a.MinLng, b.MinLng), math.Max(a.MaxLng, b.MaxLng),
+	)
 }
 
 // ProbeBoundPrepared is ProbeBound over pre-selected probes with hoisted
