@@ -73,12 +73,14 @@ serve-smoke:
 restart-smoke:
 	$(GO) test -run '^TestRestartSmokeBinary$$' -count=1 -v ./cmd/motifserve
 
-# End-to-end load smoke: build the motifload binary and replay a mixed
-# concurrent read/write workload against a self-hosted capped server.
-# The binary exits non-zero on any hardening violation — a 5xx, an
-# unbounded registry, no LRU churn, or an unparseable /metrics scrape.
+# End-to-end load smoke: run motifserve with -max-trajectories 24 and
+# -max-concurrent 2 under a seeded mix of uploads, discovers, kNN, joins,
+# deletes and /stats and /metrics reads from six clients, and assert no
+# 5xx, no transport error (a request over 10 s is one), at least one
+# 200, a registry within its cap, LRU evictions, a parseable /metrics
+# and no admission slot held once the traffic drains.
 load-smoke:
-	$(GO) test -run '^TestLoadSmokeBinary$$' -count=1 -v ./cmd/motifload
+	$(GO) test -run '^TestLoadSmokeBinary$$' -count=1 -v ./cmd/motifserve
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

@@ -1,129 +1,12 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
-	"net/http"
-	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"testing"
-	"time"
 
 	"trajmotif"
 )
-
-// restartProc is one run of the motifserve binary for the restart smoke
-// test: the process, its base URL, and the stdout scanner (kept so the
-// shutdown lines can be read after SIGTERM).
-type restartProc struct {
-	cmd  *exec.Cmd
-	base string
-	sc   *bufio.Scanner
-}
-
-// startMotifserve launches bin with args, waits for the listen line
-// (skipping the restore line a warm boot prints first) and for /healthz.
-func startMotifserve(t *testing.T, bin string, args ...string) *restartProc {
-	t.Helper()
-	cmd := exec.Command(bin, args...)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		_ = cmd.Process.Kill()
-		_ = cmd.Wait()
-	})
-	sc := bufio.NewScanner(stdout)
-	addr := ""
-	for sc.Scan() {
-		line := sc.Text()
-		if strings.Contains(line, "listening on") {
-			addr = line[strings.LastIndex(line, " ")+1:]
-			break
-		}
-	}
-	if addr == "" {
-		t.Fatalf("no listen line: %v", sc.Err())
-	}
-	base := "http://" + addr
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Get(base + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("server never became healthy: %v", err)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	return &restartProc{cmd: cmd, base: base, sc: sc}
-}
-
-// stop SIGTERMs the process, drains stdout and waits for a clean exit,
-// returning the post-signal output (drain/snapshot/stop lines).
-func (p *restartProc) stop(t *testing.T) string {
-	t.Helper()
-	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	for p.sc.Scan() {
-		out.WriteString(p.sc.Text() + "\n")
-	}
-	if err := p.cmd.Wait(); err != nil {
-		t.Fatalf("SIGTERM exit: %v (output: %s)", err, out.String())
-	}
-	return out.String()
-}
-
-func (p *restartProc) post(t *testing.T, path string, body, out any) {
-	t.Helper()
-	b, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(p.base+path, "application/json", bytes.NewReader(b))
-	if err != nil {
-		t.Fatalf("POST %s: %v", path, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var e struct {
-			Error string `json:"error"`
-		}
-		_ = json.NewDecoder(resp.Body).Decode(&e)
-		t.Fatalf("POST %s: status %d: %s", path, resp.StatusCode, e.Error)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		t.Fatalf("POST %s: decode: %v", path, err)
-	}
-}
-
-func (p *restartProc) get(t *testing.T, path string, out any) {
-	t.Helper()
-	resp, err := http.Get(p.base + path)
-	if err != nil {
-		t.Fatalf("GET %s: %v", path, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		t.Fatalf("GET %s: decode: %v", path, err)
-	}
-}
 
 // TestRestartSmokeBinary is the end-to-end restart drill behind `make
 // restart-smoke`: run the real binary with a persistent artifact tier
@@ -133,16 +16,6 @@ func (p *restartProc) get(t *testing.T, path string, out any) {
 // re-upload, zero grids rebuilt, every artifact promoted from the disk
 // tier.
 func TestRestartSmokeBinary(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and execs a binary; skipped in -short")
-	}
-	bin := filepath.Join(t.TempDir(), "motifserve")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("go build: %v", err)
-	}
-
 	artDir := filepath.Join(t.TempDir(), "artifacts")
 	args := []string{
 		"-addr", "127.0.0.1:0", "-workers", "1",
@@ -170,7 +43,7 @@ func TestRestartSmokeBinary(t *testing.T) {
 	}
 
 	// Cold run: upload, discover, shut down with a snapshot.
-	p1 := startMotifserve(t, bin, args...)
+	p1 := startMotifserve(t, args...)
 	tr, err := trajmotif.GenerateDataset(trajmotif.GeoLife, trajmotif.DatasetConfig{Seed: 42, N: 300})
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +71,7 @@ func TestRestartSmokeBinary(t *testing.T) {
 	}
 
 	// Warm run: same directory, no re-upload.
-	p2 := startMotifserve(t, bin, args...)
+	p2 := startMotifserve(t, args...)
 	var warmBoot stats
 	p2.get(t, "/stats", &warmBoot)
 	if warmBoot.Trajectories != 1 {

@@ -1,18 +1,11 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
-	"syscall"
 	"testing"
-	"time"
 
 	"trajmotif"
 )
@@ -24,90 +17,7 @@ import (
 // while the server-wide artifact build counter stays flat — zero new
 // grids.
 func TestServeSmokeBinary(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and execs a binary; skipped in -short")
-	}
-	bin := filepath.Join(t.TempDir(), "motifserve")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("go build: %v", err)
-	}
-
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-workers", "1")
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		_ = cmd.Process.Kill()
-		_ = cmd.Wait()
-	})
-
-	// The binary prints "motifserve listening on <addr>" once bound.
-	sc := bufio.NewScanner(stdout)
-	if !sc.Scan() {
-		t.Fatalf("no listen line: %v", sc.Err())
-	}
-	line := sc.Text()
-	addr := line[strings.LastIndex(line, " ")+1:]
-	base := "http://" + addr
-
-	post := func(path string, body, out any) {
-		t.Helper()
-		b, err := json.Marshal(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(base+path, "application/json", bytes.NewReader(b))
-		if err != nil {
-			t.Fatalf("POST %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			var e struct {
-				Error string `json:"error"`
-			}
-			_ = json.NewDecoder(resp.Body).Decode(&e)
-			t.Fatalf("POST %s: status %d: %s", path, resp.StatusCode, e.Error)
-		}
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatalf("POST %s: decode: %v", path, err)
-		}
-	}
-	get := func(path string, out any) {
-		t.Helper()
-		resp, err := http.Get(base + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatalf("GET %s: decode: %v", path, err)
-		}
-	}
-
-	// Wait for /healthz (the listen line already implies readiness, but be
-	// robust against a slow first accept).
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Get(base + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("server never became healthy: %v", err)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	p := startMotifserve(t, "-addr", "127.0.0.1:0", "-workers", "1")
 
 	// Upload a generated trajectory.
 	tr, err := trajmotif.GenerateDataset(trajmotif.GeoLife, trajmotif.DatasetConfig{Seed: 42, N: 300})
@@ -115,14 +25,14 @@ func TestServeSmokeBinary(t *testing.T) {
 		t.Fatal(err)
 	}
 	points := make([][2]float64, tr.Len())
-	for k, p := range tr.Points {
-		points[k] = [2]float64{p.Lat, p.Lng}
+	for k, pt := range tr.Points {
+		points[k] = [2]float64{pt.Lat, pt.Lng}
 	}
 	var up struct {
 		ID string `json:"id"`
 		N  int    `json:"n"`
 	}
-	post("/trajectories", map[string]any{"points": points}, &up)
+	p.post(t, "/trajectories", map[string]any{"points": points}, &up)
 	if up.N != tr.Len() {
 		t.Fatalf("upload echoed %d points", up.N)
 	}
@@ -145,14 +55,14 @@ func TestServeSmokeBinary(t *testing.T) {
 
 	req := map[string]any{"id": up.ID, "xi": 10}
 	var first motif
-	post("/discover", req, &first)
+	p.post(t, "/discover", req, &first)
 	var afterFirst stats
-	get("/stats", &afterFirst)
+	p.get(t, "/stats", &afterFirst)
 
 	var second motif
-	post("/discover", req, &second)
+	p.post(t, "/discover", req, &second)
 	var afterSecond stats
-	get("/stats", &afterSecond)
+	p.get(t, "/stats", &afterSecond)
 
 	if second.Stats.GridRebuildsAvoided == 0 {
 		t.Error("second /discover reported no grid reuse")
@@ -172,7 +82,7 @@ func TestServeSmokeBinary(t *testing.T) {
 
 	// The binary exposes Prometheus text metrics that reflect the
 	// traffic above.
-	resp, err := http.Get(base + "/metrics")
+	resp, err := http.Get(p.base + "/metrics")
 	if err != nil {
 		t.Fatalf("GET /metrics: %v", err)
 	}
@@ -193,67 +103,14 @@ func TestServeSmokeBinary(t *testing.T) {
 	}
 }
 
-// TestServeGracefulShutdown builds the binary, signals it with SIGTERM
+// TestServeGracefulShutdown starts the binary, signals it with SIGTERM
 // and asserts the drain path runs to a clean exit.
 func TestServeGracefulShutdown(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and execs a binary; skipped in -short")
-	}
-	bin := filepath.Join(t.TempDir(), "motifserve")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("go build: %v", err)
-	}
-
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-shutdown-grace", "5s")
-	var out bytes.Buffer
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		_ = cmd.Process.Kill()
-		_ = cmd.Wait()
-	})
-
-	sc := bufio.NewScanner(stdout)
-	if !sc.Scan() {
-		t.Fatalf("no listen line: %v", sc.Err())
-	}
-	line := sc.Text()
-	addr := line[strings.LastIndex(line, " ")+1:]
-
-	// Make sure the server accepts before signalling.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Get("http://" + addr + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("server never became healthy: %v", err)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	for sc.Scan() {
-		out.WriteString(sc.Text() + "\n")
-	}
-	if err := cmd.Wait(); err != nil {
-		t.Fatalf("SIGTERM exit: %v (output: %s)", err, out.String())
-	}
+	p := startMotifserve(t, "-addr", "127.0.0.1:0", "-shutdown-grace", "5s")
+	out := p.stop(t)
 	for _, want := range []string{"motifserve draining", "motifserve stopped"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("shutdown output missing %q: %s", want, out.String())
+		if !strings.Contains(out, want) {
+			t.Errorf("shutdown output missing %q: %s", want, out)
 		}
 	}
 }

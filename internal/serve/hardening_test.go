@@ -490,10 +490,12 @@ func TestServeAutoEviction(t *testing.T) {
 // 404 or 500. (A 404 from /knn is still legitimate when the *query*
 // trajectory itself was evicted — the LRU makes no promise to a cold
 // id — so /join, which names no id, carries the strict invariant.)
-// The CI race job runs this under -race.
+// The churn also runs /discover on the query id (200, or 404 once it is
+// evicted), and admission is capped at two slots, so the CI race job
+// runs capped, admission-limited mixed traffic through this under -race.
 func TestKNNDefaultDuringAutoEviction(t *testing.T) {
 	st := store.New(&store.Options{MaxTrajectories: 3})
-	srv := New(st, &Options{Workers: 1})
+	srv := New(st, &Options{Workers: 1, MaxConcurrentSearches: 2})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 
@@ -527,6 +529,17 @@ func TestKNNDefaultDuringAutoEviction(t *testing.T) {
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusOK {
 				done <- fmt.Errorf("churn upload %d: status %d", k, resp.StatusCode)
+				return
+			}
+			b, _ := json.Marshal(discoverRequest{ID: query, Xi: 8})
+			resp, err = http.Post(ts.URL+"/discover", "application/json", bytes.NewReader(b))
+			if err != nil {
+				done <- err
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotFound {
+				done <- fmt.Errorf("churn discover %d: status %d", k, resp.StatusCode)
 				return
 			}
 		}

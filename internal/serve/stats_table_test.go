@@ -242,8 +242,8 @@ func exposition(t *testing.T, body string) []string {
 	return families
 }
 
-// statsKeyOrder pins the GET /stats object: servebench, loadgen and
-// operators read these keys. trajectoryTTL and uptime are duration
+// statsKeyOrder pins the GET /stats object: servebench, the motifserve
+// binary tests and operators read these keys. trajectoryTTL and uptime are duration
 // strings; every other value is a JSON number.
 var statsKeyOrder = []string{
 	"trajectories", "maxTrajectories", "trajectoryTTL", "artifacts",
