@@ -21,12 +21,11 @@ func randPoints(r *rand.Rand, n int) []geo.Point {
 	return pts
 }
 
-// exactDFD computes the DFD of the candidate (i,ie,j,je) directly from the
-// grid window — the canonical kernel's windowed form, no copy — serving as
-// the ground truth for bound soundness tests.
-func exactDFD(g dmatrix.Grid, i, ie, j, je int) float64 {
-	d, _ := dist.DFDFromGridCapped(g, i, ie, j, je, math.Inf(1))
-	return d
+// exactDFD computes the DFD of the candidate (i,ie,j,je) over the
+// Euclidean grid of a and b from the point sub-slices, serving as the
+// ground truth for bound soundness tests.
+func exactDFD(a, b []geo.Point, i, ie, j, je int) float64 {
+	return dist.DFD(a[i:ie+1], b[j:je+1], geo.Euclidean)
 }
 
 func TestSlidingMax(t *testing.T) {
@@ -125,7 +124,7 @@ func TestBoundSoundnessSelf(t *testing.T) {
 				for k := 0; k < 3; k++ {
 					ie := i + xi + 1 + r.Intn(j-i-xi-1)
 					je := j + xi + 1 + r.Intn(n-j-xi-1)
-					d := exactDFD(g, i, ie, j, je)
+					d := exactDFD(pts, pts, i, ie, j, je)
 					if tightLB > d+1e-9 {
 						t.Fatalf("tight LB %g > DFD %g for (%d,%d,%d,%d), n=%d xi=%d",
 							tightLB, d, i, ie, j, je, n, xi)
@@ -173,7 +172,7 @@ func TestBoundSoundnessCross(t *testing.T) {
 				}
 				ie := i + xi + 1 + r.Intn(n-i-xi-1)
 				je := j + xi + 1 + r.Intn(m-j-xi-1)
-				d := exactDFD(g, i, ie, j, je)
+				d := exactDFD(a, b, i, ie, j, je)
 				if tightLB > d+1e-9 {
 					t.Fatalf("tight LB %g > DFD %g for (%d,%d,%d,%d)", tightLB, d, i, ie, j, je)
 				}
@@ -196,8 +195,12 @@ func TestCellBoundIsStartDistance(t *testing.T) {
 	if got := tb.Cell(0, 3); got != 9 {
 		t.Errorf("Cell(0,3) = %g, want 9", got)
 	}
-	d := exactDFD(g, 0, 1, 3, 4)
-	if d < 9 {
+	// The candidate (0..1, 3..4) swept through the kernel's row
+	// primitives over its grid window.
+	prev, cur := make([]float64, 2), make([]float64, 2)
+	dist.DFDBoundaryRow(g.Row(0)[3:5], prev)
+	dist.DFDRelaxRow(g.Row(1)[3:5], prev, cur)
+	if d := cur[1]; d < 9 {
 		t.Errorf("DFD %g below LBcell 9", d)
 	}
 }

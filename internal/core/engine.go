@@ -214,8 +214,6 @@ func (e *engine) processSubset(pos int64, i, j int) {
 	// the DFD of the single-point prefix against the growing second leg.
 	dist.DFDBoundaryRow(dmatrix.RowRange(p.g, i, j, jmax, e.row), e.prev)
 
-	// colMax tracks the boundary column dF[ie][j] = max dG(i..ie, j).
-	colMax := e.prev[0]
 	cells := int64(0)
 	for ie := i + 1; ie <= ieHi; ie++ {
 		// End-cross cap, re-evaluated per row as the bound tightens.
@@ -228,12 +226,7 @@ func (e *engine) processSubset(pos int64, i, j int) {
 			}
 		}
 
-		ground := dmatrix.RowRange(p.g, ie, j, jmax, e.row)
-		if d := ground[0]; d > colMax {
-			colMax = d
-		}
-		e.cur[0] = colMax
-		rowMin := dist.DFDRelaxRow(ground, e.prev, e.cur)
+		rowMin := dist.DFDRelaxRow(dmatrix.RowRange(p.g, ie, j, jmax, e.row), e.prev, e.cur)
 		cells += int64(jmax-j) + 1
 
 		// Candidate scan: cells with both legs longer than ξ steps.

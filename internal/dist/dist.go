@@ -19,8 +19,9 @@ import (
 //	dp[i][j] = max(df(a[i], b[j]), min(dp[i-1][j], dp[i][j-1], dp[i-1][j-1]))
 //
 // computed by the canonical kernel (kernel.go) with two rolling rows over
-// the shorter sequence and the ground distance fused into the DP loop, so
-// the cost is O(n·m) time and O(min(n,m)) working space (§5.5, Idea ii).
+// the shorter sequence, each ground row filled just before it is relaxed,
+// so the cost is O(n·m) time and O(min(n,m)) working space (§5.5,
+// Idea ii).
 //
 // Two empty sequences are at distance 0; an empty sequence is infinitely
 // far from a non-empty one (no coupling exists).

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"trajmotif/internal/dist"
-	"trajmotif/internal/dmatrix"
 	"trajmotif/internal/geo"
 )
 
@@ -247,32 +246,6 @@ func TestDFDMatrixPrefixes(t *testing.T) {
 				t.Fatalf("dp[%d][%d] = %g, want prefix DFD %g", i, j, dp[i][j], want)
 			}
 		}
-	}
-}
-
-// TestDFDFromGridMatches checks the grid form over a whole
-// dmatrix.Matrix against the point form on the same inputs, bit for bit
-// — the contract internal/bounds and internal/group rely on when they
-// window a shared distance matrix.
-func TestDFDFromGridMatches(t *testing.T) {
-	r := rand.New(rand.NewSource(16))
-	for trial := 0; trial < 50; trial++ {
-		a := randWalk(r, 2+r.Intn(10), 0, 0)
-		b := randWalk(r, 2+r.Intn(10), r.Float64()*2, r.Float64()*2)
-		g := dmatrix.ComputeCross(a, b, geo.Euclidean)
-		got, exceeded := dist.DFDFromGridCapped(g, 0, len(a)-1, 0, len(b)-1, math.Inf(1))
-		if want := dist.DFD(a, b, geo.Euclidean); exceeded || got != want {
-			t.Fatalf("DFDFromGridCapped = %g (exceeded=%v), DFD = %g", got, exceeded, want)
-		}
-	}
-	// An empty window on both axes is two empty sequences (distance 0);
-	// rows but no columns is one-sided-empty, matching DFD(a, empty) = +Inf.
-	g := dmatrix.ComputeCross(randWalk(r, 3, 0, 0), randWalk(r, 3, 0, 0), geo.Euclidean)
-	if got, _ := dist.DFDFromGridCapped(g, 0, -1, 0, -1, math.Inf(1)); got != 0 {
-		t.Errorf("empty window = %g, want 0", got)
-	}
-	if got, _ := dist.DFDFromGridCapped(g, 0, 2, 0, -1, math.Inf(1)); !math.IsInf(got, 1) {
-		t.Errorf("zero-width window = %g, want +Inf", got)
 	}
 }
 

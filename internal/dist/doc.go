@@ -40,11 +40,10 @@
 // This package is the single source of truth for the discrete Fréchet
 // recurrence: the row-relaxation loop in kernel.go (two rolling rows,
 // O(min(n,m)) space — the §5.5 "Idea ii" layout) backs every DFD
-// computation in the repository. It is written twice there: as relaxRow,
-// generic over the ground-distance source so the point-pair kernels fuse
-// the distance evaluation into the loop, and as DFDRelaxRow, over a
-// ground row already in memory (a matrix or level row). Its entry points
-// are
+// computation in the repository. It lives once, in DFDBoundaryRow and
+// DFDRelaxRow over a ground row already in memory; the value DPs read
+// their ground rows from internal/dmatrix (a matrix row, a level row, or
+// a dmatrix.Fly row computed from point pairs). Its entry points are
 //
 //   - DFD — the exact distance;
 //   - DFDCapped — early-abandoning exact verification: stops as soon as a
@@ -53,18 +52,17 @@
 //   - DFDDecision — the "DFD <= eps?" decision: a greedy O(n+m) walk
 //     certifies most "yes" answers, and otherwise the decision DP kills
 //     cells above eps and abandons when a row dies;
-//   - DFDFromGridCapped — the capped kernel over a sub-window of a
-//     precomputed ground-distance grid (a dmatrix.Matrix or any Grid),
-//     without copying the window out of the shared matrix;
-//   - DFDBoundaryRow / DFDRelaxRow — the slice-row primitives from which
-//     internal/core and internal/group compose their candidate-subset
-//     sweeps and interval (dminG/dmaxG) DPs over materialized rows.
+//   - DFDBoundaryRow / DFDRelaxRow — the row primitives behind DFDCapped,
+//     from which internal/core and internal/group also compose their
+//     candidate-subset sweeps and interval (dminG/dmaxG) DPs over
+//     materialized rows.
 //
 // No other package carries a Fréchet recurrence; internal/join,
 // internal/knn, internal/core, internal/group and internal/bounds all
 // route through these entry points, so an optimization here speeds every
 // caller. The cross-package equivalence suite (kernel_test.go) and the
-// FuzzDFDKernel fuzz target pin all forms to each other.
+// FuzzDFDKernel fuzz target pin all forms to each other and every
+// composed row to DFDMatrix.
 //
 // DTW, EDR and LCSS share the same O(n·m) skeleton with their own cost
 // models and rolling rows; DFDMatrix materializes the full table as an

@@ -1,6 +1,9 @@
 package dist
 
-import "trajmotif/internal/geo"
+import (
+	"trajmotif/internal/dmatrix"
+	"trajmotif/internal/geo"
+)
 
 // GreedyWithin exposes the decision kernel's greedy certificate to the
 // external fuzz test, oriented the way DFDDecision orients its input.
@@ -11,5 +14,5 @@ func GreedyWithin(a, b []geo.Point, df geo.DistanceFunc, eps float64) bool {
 	if len(b) > len(a) {
 		a, b = b, a
 	}
-	return greedyWithin(pointGrid{a, b, df}, len(a), len(b), eps)
+	return greedyWithin(dmatrix.NewFlyCross(a, b, df), len(a), len(b), eps)
 }

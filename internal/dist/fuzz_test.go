@@ -3,6 +3,7 @@ package dist_test
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"trajmotif/internal/dist"
@@ -30,6 +31,16 @@ func fuzzCoord(b []byte) float64 {
 	return v
 }
 
+// fuzzPoints encodes (lat, lng) pairs the way FuzzDFDKernel decodes
+// them: 16 little-endian bytes per point.
+func fuzzPoints(latLng ...float64) []byte {
+	var out []byte
+	for _, v := range latLng {
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+	}
+	return out
+}
+
 // FuzzDFDKernel feeds the kernel degenerate and adversarial inputs —
 // empty and single-point sequences, extreme but NaN-free coordinates,
 // arbitrary caps and radii — and asserts that nothing panics and that the
@@ -39,6 +50,9 @@ func FuzzDFDKernel(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, 0, 0.0)
 	f.Add(make([]byte, 96), 2, 2.5)
 	f.Add(make([]byte, 160), 4, -1.0)
+	// Two diverging walks: the DP row minima rise strictly, so a cap
+	// equal to a later row's minimum abandons exactly there.
+	f.Add(fuzzPoints(0, 0, 0, 1, 0, 2, 0, 4, 0, 7, 1, 0, 1, 2, 2, 5), 5, 1.5)
 	f.Fuzz(func(t *testing.T, data []byte, split int, eps float64) {
 		// Decode consecutive 16-byte chunks into points, splitting the
 		// sequence at the fuzzed index.
@@ -98,47 +112,55 @@ func FuzzDFDKernel(f *testing.F) {
 			t.Fatalf("DFDCapped(%g) completed with %g, DFD = %g", eps, dc, d)
 		}
 
-		// The full-table oracle agrees cell-for-cell at the corner.
-		if len(a) > 0 && len(b) > 0 {
-			dp := dist.DFDMatrix(a, b, geo.Euclidean)
-			if got := dp[len(a)-1][len(b)-1]; got != d {
-				t.Fatalf("DFDMatrix corner = %g, DFD = %g", got, d)
-			}
+		if len(a) == 0 || len(b) == 0 {
+			return
+		}
+		// The full-table oracle agrees at the corner.
+		dp := dist.DFDMatrix(a, b, geo.Euclidean)
+		if got := dp[len(a)-1][len(b)-1]; got != d {
+			t.Fatalf("DFDMatrix corner = %g, DFD = %g", got, d)
 		}
 
-		// The slice-row primitives swept over matrix rows equal the
-		// grid-windowed kernel bit for bit, on the full grid and on the
-		// window starting at the middle cell.
-		if len(a) > 0 && len(b) > 0 {
-			g := dmatrix.ComputeCross(a, b, geo.Euclidean)
-			for _, w := range [][2]int{{0, 0}, {len(a) / 2, len(b) / 2}} {
-				i0, j0 := w[0], w[1]
-				want, _ := dist.DFDFromGridCapped(g, i0, len(a)-1, j0, len(b)-1, math.Inf(1))
-				if got := sliceSweep(g, i0, j0); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("slice rows from (%d, %d) = %g, DFDFromGridCapped = %g", i0, j0, got, want)
+		// The row primitives swept over matrix rows reproduce every row
+		// of the oracle bit for bit, on the full grid and on the window
+		// starting at the middle cell.
+		g := dmatrix.ComputeCross(a, b, geo.Euclidean)
+		for _, w := range [][2]int{{0, 0}, {len(a) / 2, len(b) / 2}} {
+			i0, j0 := w[0], w[1]
+			want := dp
+			if i0 > 0 || j0 > 0 {
+				want = dist.DFDMatrix(a[i0:], b[j0:], geo.Euclidean)
+			}
+			for i, row := range sweepRows(g, i0, j0) {
+				for k, v := range row {
+					if math.Float64bits(v) != math.Float64bits(want[i][k]) {
+						t.Fatalf("window (%d.., %d..): row %d col %d = %g, DFDMatrix %g", i0, j0, i, k, v, want[i][k])
+					}
 				}
 			}
 		}
-	})
-}
 
-// sliceSweep composes DFDBoundaryRow and DFDRelaxRow over the rows of g
-// from cell (i0, j0) to the far corner, as internal/core's subset sweep
-// does, and returns the corner value.
-func sliceSweep(g *dmatrix.Matrix, i0, j0 int) float64 {
-	n, m := g.Dims()
-	prev := make([]float64, m-j0)
-	cur := make([]float64, m-j0)
-	dist.DFDBoundaryRow(g.Row(i0)[j0:], prev)
-	colMax := prev[0]
-	for i := i0 + 1; i < n; i++ {
-		ground := g.Row(i)[j0:]
-		if ground[0] > colMax {
-			colMax = ground[0]
+		// The abandon row: DFDCapped stops at the first DP row, boundary
+		// row included, whose minimum reaches the cap and returns that
+		// minimum; when it completes, no row reached the cap. The oracle
+		// table is oriented as DFDCapped rolls its rows, over the longer
+		// sequence. Besides the fuzzed cap, the distance itself, the
+		// boundary row's minimum (its first cell) and a middle row's
+		// minimum are caps that some row meets exactly.
+		if len(b) > len(a) {
+			dp = dist.DFDMatrix(b, a, geo.Euclidean)
 		}
-		cur[0] = colMax
-		dist.DFDRelaxRow(ground, prev, cur)
-		prev, cur = cur, prev
-	}
-	return prev[m-j0-1]
+		for _, c := range []float64{eps, d, dp[0][0], slices.Min(dp[len(dp)/2])} {
+			dc, ex := dist.DFDCapped(a, b, geo.Euclidean, c)
+			first := slices.IndexFunc(dp, func(row []float64) bool { return slices.Min(row) >= c })
+			switch {
+			case !ex && first >= 0:
+				t.Fatalf("DFDCapped(%g) completed, but DP row %d reaches the cap", c, first)
+			case ex && first < 0:
+				t.Fatalf("DFDCapped(%g) abandoned, but no DP row reaches the cap", c)
+			case ex && math.Float64bits(dc) != math.Float64bits(slices.Min(dp[first])):
+				t.Fatalf("DFDCapped(%g) abandoned with %g, first capped row %d has minimum %g", c, dc, first, slices.Min(dp[first]))
+			}
+		}
+	})
 }

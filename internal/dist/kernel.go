@@ -1,16 +1,16 @@
 package dist
 
 // This file is the canonical discrete Fréchet kernel: every DFD dynamic
-// program in the repository — exact, early-abandoning (capped), decision,
-// and grid-windowed — reduces to the row recurrence below, which lives in
-// two places. relaxRow is generic over the ground-distance source:
-// DFDCapped instantiates it over point pairs (pointGrid, or preparedGrid
-// under haversine), fusing the ground distance into the loop, and
-// DFDFromGridCapped runs it over a window of a precomputed grid; decision
-// is its boolean twin behind DFDDecision and DFDDecisionProjected.
-// DFDRelaxRow is the same loop over a ground row already in memory, which
-// internal/core's subset sweep and internal/group's interval DP run over
-// matrix and level rows. internal/join, internal/knn, internal/core and
+// program in the repository — exact, early-abandoning (capped), and
+// decision — reduces to the row recurrence below, which lives once, in
+// DFDBoundaryRow and DFDRelaxRow over a ground row already in memory.
+// The value DPs read their ground rows from internal/dmatrix: DFDCapped
+// (and so DFD) sweeps dmatrix.Fly rows computed from the point pairs,
+// internal/core's subset sweep reads matrix or Fly rows through
+// dmatrix.RowRange, and internal/group's interval DP reads level rows.
+// decision is the boolean twin behind DFDDecision and
+// DFDDecisionProjected, generic over the grid so the projected tri-state
+// cells need no row fill. internal/join, internal/knn, internal/core and
 // internal/group all route through these entry points; no other package
 // carries its own Fréchet recurrence, so an optimization here speeds
 // every caller.
@@ -37,56 +37,9 @@ package dist
 import (
 	"math"
 
+	"trajmotif/internal/dmatrix"
 	"trajmotif/internal/geo"
 )
-
-// Grid is read-only access to a ground-distance grid: At(i, j) for
-// 0 <= i < n, 0 <= j < m with (n, m) = Dims(). It is structurally
-// identical to dmatrix.Grid, redeclared here so the kernel package stays
-// dependency-free; dmatrix.Matrix and dmatrix.Fly satisfy it as-is.
-type Grid interface {
-	At(i, j int) float64
-	Dims() (n, m int)
-}
-
-// pointGrid adapts two point sequences and a ground distance to the grid
-// shape. Instantiating the generic kernel with this concrete type fuses
-// the ground-distance evaluation into the DP loop — no intermediate
-// distance row is materialized beyond the rolling pair.
-type pointGrid struct {
-	a, b []geo.Point
-	df   geo.DistanceFunc
-}
-
-func (g pointGrid) At(i, j int) float64 { return g.df(g.a[i], g.b[j]) }
-func (g pointGrid) Dims() (int, int)    { return len(g.a), len(g.b) }
-
-// preparedGrid is pointGrid specialized to geo.Haversine with the
-// cos(lat) factors hoisted out of the inner loop: the column cosines
-// are computed once up front and the row cosine is refreshed when the
-// sweep first touches a row (the kernels visit rows monotonically, so
-// this is one cos per row instead of two per cell). Bit-identical to
-// pointGrid over geo.Haversine because geo.HaversinePrepared runs the
-// same core.
-type preparedGrid struct {
-	a, b   []geo.Point
-	cosB   []float64
-	rowI   int
-	rowCos float64
-}
-
-func newPreparedGrid(a, b []geo.Point) *preparedGrid {
-	return &preparedGrid{a: a, b: b, cosB: geo.CosLats(b), rowI: -1}
-}
-
-func (g *preparedGrid) At(i, j int) float64 {
-	if i != g.rowI {
-		g.rowI = i
-		g.rowCos = geo.CosLat(g.a[i])
-	}
-	return geo.HaversinePrepared(g.a[i], g.b[j], g.rowCos, g.cosB[j])
-}
-func (g *preparedGrid) Dims() (int, int) { return len(g.a), len(g.b) }
 
 // projDecGrid adapts a projected point pair to the decision DP's
 // "At(i, j) <= eps" comparisons as a tri-state: a squared planar
@@ -117,89 +70,13 @@ func (g *projDecGrid) At(i, j int) float64 {
 }
 func (g *projDecGrid) Dims() (int, int) { return len(g.a), len(g.b) }
 
-// boundaryRow fills dp[0..j1-j0] with the DP's first row over grid row i0,
-// columns j0..j1: the running maximum of ground distances, which is the
-// DFD of the single-point first leg against the growing second leg.
-func boundaryRow[G Grid](g G, i0, j0, j1 int, dp []float64) {
-	run := math.Inf(-1)
-	for je := j0; je <= j1; je++ {
-		if d := g.At(i0, je); d > run {
-			run = d
-		}
-		dp[je-j0] = run
-	}
-}
-
-// relaxRow advances the recurrence by one row over grid row ie, columns
-// j0..j1. prev holds the previous row and cur[0] must already hold this
-// row's boundary value dF[ie][j0] (the running column maximum); the
-// remaining cells follow the recurrence. Returns the minimum over
-// cur[0..j1-j0], which lower-bounds every cell of all later rows.
-func relaxRow[G Grid](g G, ie, j0, j1 int, prev, cur []float64) float64 {
-	left := cur[0]
-	rowMin := left
-	for je := j0 + 1; je <= j1; je++ {
-		k := je - j0
-		reach := prev[k]
-		if v := prev[k-1]; v < reach {
-			reach = v
-		}
-		if left < reach {
-			reach = left
-		}
-		v := g.At(ie, je)
-		if reach > v {
-			v = reach
-		}
-		cur[k] = v
-		left = v
-		if v < rowMin {
-			rowMin = v
-		}
-	}
-	return rowMin
-}
-
-// windowCapped is the shared exact/early-abandoning kernel over the
-// inclusive grid window rows i0..i1, columns j0..j1. It returns the exact
-// DFD of the window with exceeded == false, unless a completed row's
-// minimum reaches cap first, in which case it returns that minimum — a
-// valid lower bound on the window's DFD, itself >= cap — with
-// exceeded == true. A +Inf cap never abandons, so the result is exact.
-func windowCapped[G Grid](g G, i0, i1, j0, j1 int, cap float64) (d float64, exceeded bool) {
-	w := j1 - j0 + 1
-	capped := !math.IsInf(cap, 1)
-	prev := make([]float64, w)
-	cur := make([]float64, w)
-
-	boundaryRow(g, i0, j0, j1, prev)
-	// The boundary row is a running maximum, so its minimum is its first
-	// cell.
-	if capped && prev[0] >= cap {
-		return prev[0], true
-	}
-	colMax := prev[0]
-	for ie := i0 + 1; ie <= i1; ie++ {
-		if v := g.At(ie, j0); v > colMax {
-			colMax = v
-		}
-		cur[0] = colMax
-		rowMin := relaxRow(g, ie, j0, j1, prev, cur)
-		if capped && rowMin >= cap {
-			return rowMin, true
-		}
-		prev, cur = cur, prev
-	}
-	return prev[w-1], false
-}
-
 // greedyWithin walks one monotone coupling from (0, 0) to (n-1, m-1),
 // stepping diagonally while that cell is within eps, otherwise to the
 // row or column neighbour nearer the table's diagonal, otherwise to the
 // other one. Arriving certifies DFD <= eps: the walk is a coupling and
 // every cell on it is within eps. Getting stuck concludes nothing. It
 // evaluates O(n+m) cells, against the decision DP's O(n·m) for a "yes".
-func greedyWithin[G Grid](g G, n, m int, eps float64) bool {
+func greedyWithin[G dmatrix.Grid](g G, n, m int, eps float64) bool {
 	if !(g.At(0, 0) <= eps) {
 		return false
 	}
@@ -238,7 +115,7 @@ func greedyWithin[G Grid](g G, n, m int, eps float64) bool {
 // boolean live-cell DP decides, where a cell is live when some coupling
 // reaches it with every pair within eps. The DP abandons as soon as a
 // full row dies, usually long before the O(n·m) table is complete.
-func decision[G Grid](g G, n, m int, eps float64) bool {
+func decision[G dmatrix.Grid](g G, n, m int, eps float64) bool {
 	if greedyWithin(g, n, m, eps) {
 		return true
 	}
@@ -293,10 +170,26 @@ func DFDCapped(a, b []geo.Point, df geo.DistanceFunc, cap float64) (d float64, e
 	if len(b) > len(a) {
 		a, b = b, a // roll rows over the shorter sequence: O(min(n,m)) space
 	}
-	if geo.IsHaversine(df) {
-		return windowCapped(newPreparedGrid(a, b), 0, len(a)-1, 0, len(b)-1, cap)
+	g := dmatrix.NewFlyCross(a, b, df)
+	m := len(b)
+	rows := make([]float64, 3*m)
+	ground, prev, cur := rows[:m], rows[m:2*m], rows[2*m:]
+	capped := !math.IsInf(cap, 1)
+
+	DFDBoundaryRow(g.Row(0, 0, m-1, ground), prev)
+	// The boundary row is a running maximum, so its minimum is its first
+	// cell.
+	if capped && prev[0] >= cap {
+		return prev[0], true
 	}
-	return windowCapped(pointGrid{a, b, df}, 0, len(a)-1, 0, len(b)-1, cap)
+	for i := 1; i < len(a); i++ {
+		rowMin := DFDRelaxRow(g.Row(i, 0, m-1, ground), prev, cur)
+		if capped && rowMin >= cap {
+			return rowMin, true
+		}
+		prev, cur = cur, prev
+	}
+	return prev[m-1], false
 }
 
 // DFDDecision decides DFD(a, b) <= eps without computing the distance,
@@ -311,10 +204,7 @@ func DFDDecision(a, b []geo.Point, df geo.DistanceFunc, eps float64) bool {
 	if len(b) > len(a) {
 		a, b = b, a
 	}
-	if geo.IsHaversine(df) {
-		return decision(newPreparedGrid(a, b), len(a), len(b), eps)
-	}
-	return decision(pointGrid{a, b, df}, len(a), len(b), eps)
+	return decision(dmatrix.NewFlyCross(a, b, df), len(a), len(b), eps)
 }
 
 // DFDDecisionProjected decides DFD(a, b) <= eps for the haversine
@@ -348,28 +238,10 @@ func DFDDecisionProjected(a, b []geo.Point, pa, pb []geo.Projected, f geo.Frame,
 	return decision(g, len(a), len(b), eps)
 }
 
-// DFDFromGridCapped runs the capped kernel over the inclusive sub-window
-// rows i0..i1, columns j0..j1 of a precomputed ground-distance grid, with
-// DFDCapped's cap semantics. This is how callers verify a candidate
-// sub-grid against a searcher's best-so-far bound without copying the
-// window out of the shared matrix. Degenerate windows follow the DFD
-// conventions: both ranges empty is distance 0, exactly one empty is +Inf.
-func DFDFromGridCapped(g Grid, i0, i1, j0, j1 int, cap float64) (d float64, exceeded bool) {
-	if i1 < i0 || j1 < j0 {
-		if i1 < i0 && j1 < j0 {
-			return 0, false
-		}
-		return math.Inf(1), false
-	}
-	return windowCapped[Grid](g, i0, i1, j0, j1, cap)
-}
-
-// DFDBoundaryRow is the first-row primitive over a ground row already
-// in memory: ground holds dG(i0, j0..j1), and dp[0..len(ground)-1]
-// receives its running maximum, the DP boundary dF[i0][j0..j1].
-// internal/core and internal/group build their candidate-subset sweeps
-// and interval DPs from this and DFDRelaxRow over materialized grid and
-// level rows instead of carrying their own recurrences.
+// DFDBoundaryRow is the first-row primitive: ground holds
+// dG(i0, j0..j1), and dp[0..len(ground)-1] receives its running maximum,
+// the DP boundary dF[i0][j0..j1]. Every value DP in the repository
+// starts its sweep with this and continues it with DFDRelaxRow.
 func DFDBoundaryRow(ground, dp []float64) {
 	dp = dp[:len(ground)]
 	run := math.Inf(-1)
@@ -381,16 +253,21 @@ func DFDBoundaryRow(ground, dp []float64) {
 	}
 }
 
-// DFDRelaxRow is relaxRow over a ground row already in memory: ground
-// holds dG(ie, j0..j1), prev the previous DP row, and cur[0] this row's
-// boundary value dF[ie][j0] (ground[0] is not read). It fills
-// cur[1..len(ground)-1] by the recurrence and returns the row minimum — a
-// lower bound on every cell of all later rows, which callers compare
-// against a best-so-far bound to abandon early.
+// DFDRelaxRow advances the recurrence by one row: ground holds
+// dG(ie, j0..j1) and prev the previous DP row dF[ie-1][j0..j1]. It fills
+// cur[0..len(ground)-1] with dF[ie][j0..j1] — cur[0] is the boundary
+// column max(dF[ie-1][j0], dG(ie, j0)), the rest follow the recurrence
+// — and returns the row minimum, a lower bound on every cell of all
+// later rows, which callers compare against a best-so-far bound to
+// abandon early.
 func DFDRelaxRow(ground, prev, cur []float64) (rowMin float64) {
 	prev = prev[:len(ground)]
 	cur = cur[:len(ground)]
-	left := cur[0]
+	left := prev[0]
+	if g := ground[0]; g > left {
+		left = g
+	}
+	cur[0] = left
 	rowMin = left
 	for k := 1; k < len(ground); k++ {
 		reach := prev[k]

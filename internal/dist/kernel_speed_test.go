@@ -1,15 +1,16 @@
 package dist
 
 // White-box parity tests and benchmarks for the kernel fast paths:
-// the prepared (hoisted-cos) haversine grid and the projected decision
-// DP. These live in package dist so the benchmark can pin individual
-// variants (pointGrid vs preparedGrid) against each other directly.
+// the prepared (hoisted-cos) haversine rows and the projected decision
+// DP. These live in package dist so the tests can drive the greedy
+// certificate and the decision DP directly.
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 
+	"trajmotif/internal/dmatrix"
 	"trajmotif/internal/geo"
 )
 
@@ -28,7 +29,7 @@ func speedTrack(rng *rand.Rand, base geo.Point, n int, stepDeg float64) []geo.Po
 }
 
 // wrappedHaversine defeats geo.IsHaversine, forcing the generic
-// pointGrid path, while computing the identical distance.
+// DistanceFunc path, while computing the identical distance.
 func wrappedHaversine(a, b geo.Point) float64 { return geo.Haversine(a, b) }
 
 // TestPreparedKernelBitIdentical pins DFDCapped and DFDDecision on the
@@ -110,7 +111,7 @@ func TestGreedyCertificate(t *testing.T) {
 		}
 		d := DFD(a, b, geo.Haversine)
 		for _, eps := range []float64{d * 0.5, math.Nextafter(d, 0), d, d * 1.05, d * 2} {
-			g := pointGrid{a, b, geo.Haversine}
+			g := dmatrix.NewFlyCross(a, b, geo.Haversine)
 			greedy := greedyWithin(g, len(a), len(b), eps)
 			got := decision(g, len(a), len(b), eps)
 			if greedy && !(d <= eps) || got != (d <= eps) {
@@ -265,9 +266,11 @@ func wrapLngs(pts []geo.Point) []geo.Point {
 
 // BenchmarkKernelVariants measures per-DP-cell cost of each ground-
 // distance strategy on a fixed workload; CHANGES.md quotes the result.
-// "generic" is the pre-optimization path (haversine behind an opaque
-// DistanceFunc), "prepared" hoists the cosines, and the decision pair
-// compares the haversine decision DP against the projected tri-state DP.
+// The value pair runs DFDCapped, which fills each ground row through
+// dmatrix.Fly.Row before relaxing it: "generic" is haversine behind an
+// opaque DistanceFunc, "prepared" the hoisted-cosine fill. The decision
+// pair compares the haversine decision DP against the projected
+// tri-state DP.
 func BenchmarkKernelVariants(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 512
@@ -277,13 +280,13 @@ func BenchmarkKernelVariants(b *testing.B) {
 
 	b.Run("value-generic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			windowCapped(pointGrid{ta, tb, wrappedHaversine}, 0, n-1, 0, n-1, math.MaxFloat64)
+			DFDCapped(ta, tb, wrappedHaversine, math.MaxFloat64)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/cells, "ns/cell")
 	})
 	b.Run("value-prepared", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			windowCapped(newPreparedGrid(ta, tb), 0, n-1, 0, n-1, math.MaxFloat64)
+			DFDCapped(ta, tb, geo.Haversine, math.MaxFloat64)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/cells, "ns/cell")
 	})

@@ -2,14 +2,15 @@ package dist_test
 
 // Cross-package equivalence and property tests for the canonical DFD
 // kernel: every public entry point — point form, capped form, decision
-// form, windowed-grid form, and the row primitives that
-// internal/core and internal/group compose — must agree on the same
-// inputs. This suite is what pins every caller in the tree to one
-// recurrence.
+// form, and the row primitives that internal/core and internal/group
+// compose over grid rows — must agree on the same inputs, and with the
+// independently coded DFDMatrix oracle. This suite is what pins every
+// caller in the tree to one recurrence.
 
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"trajmotif/internal/dist"
@@ -19,8 +20,8 @@ import (
 
 // TestKernelCrossPackageEquivalence asserts that all exact entry points
 // compute the same value to 1e-12 on randomized trajectories: the fused
-// point kernel, the full-table oracle, the windowed form over a
-// dmatrix.Matrix (the shape internal/bounds and internal/group consume),
+// point kernel, the full-table oracle, the row primitives swept over a
+// dmatrix.Matrix (the shape internal/core and internal/group consume),
 // and the capped form with an infinite cap.
 func TestKernelCrossPackageEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
@@ -34,12 +35,11 @@ func TestKernelCrossPackageEquivalence(t *testing.T) {
 		if got := dp[len(a)-1][len(b)-1]; math.Abs(got-want) > 1e-12 {
 			t.Fatalf("DFDMatrix = %g, DFD = %g", got, want)
 		}
-		m := dmatrix.ComputeCross(a, b, geo.Euclidean)
-		got, exceeded := dist.DFDFromGridCapped(m, 0, len(a)-1, 0, len(b)-1, math.Inf(1))
-		if exceeded || math.Abs(got-want) > 1e-12 {
-			t.Fatalf("DFDFromGridCapped = %g (exceeded=%v), DFD = %g", got, exceeded, want)
+		rows := sweepRows(dmatrix.ComputeCross(a, b, geo.Euclidean), 0, 0)
+		if got := rows[len(a)-1][len(b)-1]; math.Abs(got-want) > 1e-12 {
+			t.Fatalf("row primitives over the matrix = %g, DFD = %g", got, want)
 		}
-		got, exceeded = dist.DFDCapped(a, b, geo.Euclidean, math.Inf(1))
+		got, exceeded := dist.DFDCapped(a, b, geo.Euclidean, math.Inf(1))
 		if exceeded || math.Abs(got-want) > 1e-12 {
 			t.Fatalf("DFDCapped(+Inf) = %g (exceeded=%v), DFD = %g", got, exceeded, want)
 		}
@@ -105,63 +105,83 @@ func TestDFDCappedProperties(t *testing.T) {
 	}
 }
 
-// TestDFDFromGridCappedWindows pins the windowed form's indexing: every
-// random sub-window of a shared matrix must match the DFD of the copied
-// sub-grid and of the corresponding point slices.
-func TestDFDFromGridCappedWindows(t *testing.T) {
-	r := rand.New(rand.NewSource(64))
-	a := randWalk(r, 14, 0, 0)
-	b := randWalk(r, 11, 1, 1)
-	m := dmatrix.ComputeCross(a, b, geo.Euclidean)
-	for trial := 0; trial < 200; trial++ {
-		i0 := r.Intn(len(a))
-		i1 := i0 + r.Intn(len(a)-i0)
-		j0 := r.Intn(len(b))
-		j1 := j0 + r.Intn(len(b)-j0)
-
-		got, exceeded := dist.DFDFromGridCapped(m, i0, i1, j0, j1, math.Inf(1))
-		if exceeded {
-			t.Fatalf("window (%d..%d)x(%d..%d) exceeded an infinite cap", i0, i1, j0, j1)
-		}
-		want := dist.DFD(a[i0:i1+1], b[j0:j1+1], geo.Euclidean)
-		if math.Abs(got-want) > 1e-12 {
-			t.Fatalf("window (%d..%d)x(%d..%d) = %g, point form %g", i0, i1, j0, j1, got, want)
-		}
-	}
-}
-
 // TestDFDRowPrimitivesCompose drives the exported row primitives the way
-// internal/core's subset sweep does — boundary row, then per-row boundary
-// column + relax — and requires the composition to reproduce DFD and its
-// row-minimum lower-bound guarantee.
+// internal/core's subset sweep does — boundary row, then one relax per
+// row, each deriving its own boundary-column cell — over windows of a
+// Matrix and of a Fly grid, and requires every composed row to equal the
+// matching row of the DFDMatrix oracle bit for bit, and each row minimum
+// to lower-bound the final distance.
 func TestDFDRowPrimitivesCompose(t *testing.T) {
 	r := rand.New(rand.NewSource(65))
 	for trial := 0; trial < 100; trial++ {
 		a := randWalk(r, 2+r.Intn(10), 0, 0)
 		b := randWalk(r, 2+r.Intn(10), r.Float64()*3, r.Float64()*3)
-		g := dmatrix.ComputeCross(a, b, geo.Euclidean)
-		n, m := g.Dims()
-
-		want := dist.DFD(a, b, geo.Euclidean)
-		prev := make([]float64, m)
-		cur := make([]float64, m)
-		dist.DFDBoundaryRow(g.Row(0), prev)
-		colMax := prev[0]
-		for i := 1; i < n; i++ {
-			if d := g.At(i, 0); d > colMax {
-				colMax = d
+		i0, j0 := r.Intn(len(a)), r.Intn(len(b))
+		want := dist.DFDMatrix(a[i0:], b[j0:], geo.Euclidean)
+		final := want[len(want)-1][len(b)-j0-1]
+		for _, g := range []dmatrix.Grid{dmatrix.ComputeCross(a, b, geo.Euclidean), dmatrix.NewFlyCross(a, b, geo.Euclidean)} {
+			for i, row := range sweepRows(g, i0, j0) {
+				for k, v := range row {
+					if math.Float64bits(v) != math.Float64bits(want[i][k]) {
+						t.Fatalf("%T window (%d.., %d..): row %d col %d = %g, DFDMatrix %g", g, i0, j0, i, k, v, want[i][k])
+					}
+				}
+				if rowMin := slices.Min(row); rowMin > final {
+					t.Fatalf("row %d minimum %g exceeds final DFD %g", i, rowMin, final)
+				}
 			}
-			cur[0] = colMax
-			rowMin := dist.DFDRelaxRow(g.Row(i), prev, cur)
-			if rowMin > want+1e-12 {
-				t.Fatalf("row %d minimum %g exceeds final DFD %g", i, rowMin, want)
-			}
-			prev, cur = cur, prev
-		}
-		if got := prev[m-1]; math.Abs(got-want) > 1e-12 {
-			t.Fatalf("composed primitives = %g, DFD = %g", got, want)
 		}
 	}
+}
+
+// TestGridsFeedKernel pins the contract the searchers rely on: every
+// window of a precomputed Matrix and of an on-the-fly Fly grid, swept
+// through the row primitives, gives the point-form DFD of the matching
+// sub-slices, under both ground distances, and the two grids agree bit
+// for bit.
+func TestGridsFeedKernel(t *testing.T) {
+	a := []geo.Point{{Lng: 116.30, Lat: 39.98}, {Lng: 116.31, Lat: 39.99}, {Lng: 116.33, Lat: 39.97}, {Lng: 116.32, Lat: 40.01}, {Lng: 116.35, Lat: 40.00}}
+	b := []geo.Point{{Lng: 116.29, Lat: 39.96}, {Lng: 116.34, Lat: 39.98}, {Lng: 116.36, Lat: 40.02}, {Lng: 116.31, Lat: 39.95}}
+	for _, df := range []geo.DistanceFunc{geo.Euclidean, geo.Haversine} {
+		m := dmatrix.ComputeCross(a, b, df)
+		f := dmatrix.NewFlyCross(a, b, df)
+		for i0 := range a {
+			for j0 := range b {
+				want := dist.DFD(a[i0:], b[j0:], df)
+				mr := sweepRows(m, i0, j0)
+				dm := mr[len(mr)-1][len(b)-j0-1]
+				if math.Abs(dm-want) > 1e-12*math.Max(1, want) {
+					t.Errorf("Matrix window (%d.., %d..) = %g, want %g", i0, j0, dm, want)
+				}
+				fr := sweepRows(f, i0, j0)
+				if dfly := fr[len(fr)-1][len(b)-j0-1]; math.Float64bits(dfly) != math.Float64bits(dm) {
+					t.Errorf("Fly window (%d.., %d..) = %g, Matrix %g", i0, j0, dfly, dm)
+				}
+			}
+		}
+	}
+}
+
+// sweepRows composes DFDBoundaryRow and DFDRelaxRow over the rows of g
+// from cell (i0, j0) to the far corner, reading ground rows through
+// dmatrix.RowRange as internal/core's subset sweep does, and returns
+// every DP row. Each row starts as NaN, so a cell the primitives fail to
+// write shows up in the comparison.
+func sweepRows(g dmatrix.Grid, i0, j0 int) [][]float64 {
+	n, m := g.Dims()
+	scratch := make([]float64, m-j0)
+	rows := make([][]float64, n-i0)
+	for i := range rows {
+		rows[i] = make([]float64, m-j0)
+		for k := range rows[i] {
+			rows[i][k] = math.NaN()
+		}
+	}
+	dist.DFDBoundaryRow(dmatrix.RowRange(g, i0, j0, m-1, scratch), rows[0])
+	for i := 1; i < len(rows); i++ {
+		dist.DFDRelaxRow(dmatrix.RowRange(g, i0+i, j0, m-1, scratch), rows[i-1], rows[i])
+	}
+	return rows
 }
 
 // TestKernelDegenerateConventions pins the empty-input conventions of the
@@ -184,13 +204,5 @@ func TestKernelDegenerateConventions(t *testing.T) {
 	}
 	if dist.DFDDecision(empty, one, geo.Euclidean, 100) {
 		t.Error("DFDDecision(empty, a) = true, want false")
-	}
-	// Windowed degenerate conventions mirror the grid form's.
-	m := dmatrix.ComputeCross(one, one, geo.Euclidean)
-	if d, _ := dist.DFDFromGridCapped(m, 1, 0, 1, 0, math.Inf(1)); d != 0 {
-		t.Errorf("empty-by-empty window = %g, want 0", d)
-	}
-	if d, _ := dist.DFDFromGridCapped(m, 0, 0, 1, 0, math.Inf(1)); !math.IsInf(d, 1) {
-		t.Errorf("rows-by-no-columns window = %g, want +Inf", d)
 	}
 }

@@ -33,32 +33,14 @@ func ComputeCross(a, b []geo.Point, df geo.DistanceFunc) *Matrix {
 }
 
 // ComputeCrossParallel is ComputeCross with the row fill sharded across
-// workers. Each cell is an independent df evaluation, so the result is
+// workers. Each row is filled by Fly.Row, so the matrix holds exactly
+// the values GTM*'s on-the-fly grid computes, and the result is
 // bit-identical for every worker count; df must be safe for concurrent
 // use when workers > 1.
 func ComputeCrossParallel(a, b []geo.Point, df geo.DistanceFunc, workers int) *Matrix {
 	m := &Matrix{n: len(a), m: len(b), vals: make([]float64, len(a)*len(b))}
-	if geo.IsHaversine(df) {
-		// Hoist the cos(lat) factors: one per point instead of two per
-		// cell. HaversinePrepared is bit-identical to Haversine.
-		cosB := geo.CosLats(b)
-		fillRows(workers, len(a), func(i int) {
-			pa := a[i]
-			ca := geo.CosLat(pa)
-			row := m.vals[i*m.m : (i+1)*m.m]
-			for j, pb := range b {
-				row[j] = geo.HaversinePrepared(pa, pb, ca, cosB[j])
-			}
-		})
-		return m
-	}
-	fillRows(workers, len(a), func(i int) {
-		pa := a[i]
-		row := m.vals[i*m.m : (i+1)*m.m]
-		for j, pb := range b {
-			row[j] = df(pa, pb)
-		}
-	})
+	f := NewFlyCross(a, b, df)
+	fillRows(workers, len(a), func(i int) { f.Row(i, 0, m.m-1, m.Row(i)) })
 	return m
 }
 
@@ -74,23 +56,8 @@ func ComputeSelf(pts []geo.Point, df geo.DistanceFunc) *Matrix {
 func ComputeSelfParallel(pts []geo.Point, df geo.DistanceFunc, workers int) *Matrix {
 	n := len(pts)
 	m := &Matrix{n: n, m: n, vals: make([]float64, n*n)}
-	if geo.IsHaversine(df) {
-		cos := geo.CosLats(pts)
-		fillRows(workers, n, func(i int) {
-			pi, ci := pts[i], cos[i]
-			row := m.vals[i*n : (i+1)*n]
-			for j := i + 1; j < n; j++ {
-				row[j] = geo.HaversinePrepared(pi, pts[j], ci, cos[j])
-			}
-		})
-	} else {
-		fillRows(workers, n, func(i int) {
-			row := m.vals[i*n : (i+1)*n]
-			for j := i + 1; j < n; j++ {
-				row[j] = df(pts[i], pts[j])
-			}
-		})
-	}
+	f := NewFlySelf(pts, df)
+	fillRows(workers, n, func(i int) { f.Row(i, i+1, n-1, m.Row(i)[i+1:]) })
 	fillRows(workers, n, func(i int) {
 		row := m.vals[i*n : (i+1)*n]
 		for j := 0; j < i; j++ {
@@ -153,20 +120,16 @@ func (m *Matrix) Dims() (int, int) { return m.n, m.m }
 // storage, so callers must treat it as read-only.
 func (m *Matrix) Row(i int) []float64 { return m.vals[i*m.m : (i+1)*m.m : (i+1)*m.m] }
 
-// RowRange returns dG(i, j0..j1) of g as a slice. A *Matrix answers with
-// an alias of its storage (read-only, like Row); any other grid — GTM*'s
-// on-the-fly Fly — fills scratch, which must hold j1-j0+1 values, through
-// At and returns it. Row-sweeping DPs read grids through this so the
-// materialized case pays no per-cell interface call.
+// RowRange returns dG(i, j0..j1) of g, which must be a *Matrix or a
+// *Fly, as a slice. A *Matrix answers with an alias of its storage
+// (read-only, like Row); GTM*'s on-the-fly *Fly fills scratch, which
+// must hold j1-j0+1 values, through Fly.Row. Row-sweeping DPs read grids
+// through this so neither grid pays a per-cell interface call.
 func RowRange(g Grid, i, j0, j1 int, scratch []float64) []float64 {
 	if m, ok := g.(*Matrix); ok {
 		return m.Row(i)[j0 : j1+1]
 	}
-	row := scratch[:j1-j0+1]
-	for k := range row {
-		row[k] = g.At(i, j0+k)
-	}
-	return row
+	return g.(*Fly).Row(i, j0, j1, scratch)
 }
 
 // Bytes returns the memory footprint of the value storage, used by the
@@ -191,11 +154,14 @@ func (m *Matrix) Transposed() *Matrix {
 }
 
 // Fly evaluates ground distances on demand without storing them. It is the
-// grid used by GTM* (§5.5, Idea i): each At call costs one ground-distance
-// evaluation, trading CPU for the O(n^2) matrix memory. The constructors
-// detect the haversine metric and cache one cos(lat) per point, so each
-// At pays two table lookups instead of two cos calls — bit-identical,
-// since HaversinePrepared runs the same core.
+// grid used by GTM* (§5.5, Idea i): each cell costs one ground-distance
+// evaluation, trading CPU for the O(n^2) matrix memory. It is also the
+// one place a ground-distance row is computed from points: the matrix
+// builders fill their rows through Row, and internal/dist's value DP
+// sweeps Row over point pairs. The constructors detect the haversine
+// metric and cache one cos(lat) per point, so each cell pays two table
+// lookups instead of two cos calls — bit-identical, since
+// HaversinePrepared runs the same core.
 type Fly struct {
 	A, B []geo.Point
 	DF   geo.DistanceFunc
@@ -223,13 +189,39 @@ func NewFlyCross(a, b []geo.Point, df geo.DistanceFunc) *Fly {
 	return f
 }
 
+// haversine is dG(i, j) through the cached cosines, for a row point
+// pa = A[i] with cosine ca = cosA[i] that the caller hoists.
+func (f *Fly) haversine(pa geo.Point, ca float64, j int) float64 {
+	//lint:ignore preparedgate cosA is non-nil only when NewFlySelf/NewFlyCross saw geo.IsHaversine(df); the gate lives in the constructors, and At and Row call this only when cosA != nil
+	return geo.HaversinePrepared(pa, f.B[j], ca, f.cosB[j])
+}
+
 // At computes dG(i, j) directly from the points.
 func (f *Fly) At(i, j int) float64 {
 	if f.cosA != nil {
-		//lint:ignore preparedgate cosA is non-nil only when NewFlySelf/NewFlyCross saw geo.IsHaversine(df); the gate lives in the constructors
-		return geo.HaversinePrepared(f.A[i], f.B[j], f.cosA[i], f.cosB[j])
+		return f.haversine(f.A[i], f.cosA[i], j)
 	}
 	return f.DF(f.A[i], f.B[j])
+}
+
+// Row fills dst[0..j1-j0] with dG(i, j0..j1) and returns that prefix of
+// dst, which must hold j1-j0+1 values. Each value equals At(i, j); the
+// row point and its cosine are read once per row, and j1 = j0-1 fills
+// nothing.
+func (f *Fly) Row(i, j0, j1 int, dst []float64) []float64 {
+	dst = dst[:j1-j0+1]
+	pa := f.A[i]
+	if f.cosA != nil {
+		ca := f.cosA[i]
+		for k := range dst {
+			dst[k] = f.haversine(pa, ca, j0+k)
+		}
+		return dst
+	}
+	for k := range dst {
+		dst[k] = f.DF(pa, f.B[j0+k])
+	}
+	return dst
 }
 
 // Dims returns the grid dimensions.

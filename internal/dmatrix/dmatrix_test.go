@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"trajmotif/internal/dist"
 	"trajmotif/internal/geo"
 )
 
@@ -16,24 +15,32 @@ func pts(xy ...float64) []geo.Point {
 	return out
 }
 
+// TestComputeSelfSymmetric: the self grid has a zero diagonal, is
+// symmetric, and holds the ground distance of each unordered pair bit
+// for bit, under both ground distances.
 func TestComputeSelfSymmetric(t *testing.T) {
 	p := pts(0, 0, 3, 4, 6, 8, 1, 1)
-	m := ComputeSelf(p, geo.Euclidean)
-	n, mm := m.Dims()
-	if n != 4 || mm != 4 {
-		t.Fatalf("Dims = %d,%d", n, mm)
-	}
-	for i := 0; i < 4; i++ {
-		if m.At(i, i) != 0 {
-			t.Errorf("diagonal At(%d,%d) = %g", i, i, m.At(i, i))
+	for _, df := range []geo.DistanceFunc{geo.Euclidean, geo.Haversine} {
+		m := ComputeSelf(p, df)
+		n, mm := m.Dims()
+		if n != 4 || mm != 4 {
+			t.Fatalf("Dims = %d,%d", n, mm)
 		}
-		for j := 0; j < 4; j++ {
-			if m.At(i, j) != m.At(j, i) {
-				t.Errorf("asymmetric at (%d,%d)", i, j)
+		for i := 0; i < 4; i++ {
+			if m.At(i, i) != 0 {
+				t.Errorf("diagonal At(%d,%d) = %g", i, i, m.At(i, i))
 			}
-			want := geo.Euclidean(p[i], p[j])
-			if math.Abs(m.At(i, j)-want) > 1e-12 {
-				t.Errorf("At(%d,%d) = %g, want %g", i, j, m.At(i, j), want)
+			for j := 0; j < 4; j++ {
+				if m.At(i, j) != m.At(j, i) {
+					t.Errorf("asymmetric at (%d,%d)", i, j)
+				}
+				if i == j {
+					continue
+				}
+				want := df(p[min(i, j)], p[max(i, j)])
+				if math.Float64bits(m.At(i, j)) != math.Float64bits(want) {
+					t.Errorf("At(%d,%d) = %g, want %g", i, j, m.At(i, j), want)
+				}
 			}
 		}
 	}
@@ -90,34 +97,11 @@ func TestFlyEquivalence(t *testing.T) {
 	}
 }
 
-// TestGridsFeedKernel pins the contract the searchers rely on: both grid
-// implementations satisfy the canonical kernel's Grid interface as-is, and
-// windows of a precomputed Matrix and an on-the-fly Fly grid produce the
-// same DFD through dist.DFDFromGridCapped as the point-form kernel.
-func TestGridsFeedKernel(t *testing.T) {
-	a := pts(0, 0, 1, 0, 2, 1, 3, 1, 4, 0)
-	b := pts(0, 1, 1, 1, 2, 2, 3, 0)
-	m := ComputeCross(a, b, geo.Euclidean)
-	f := NewFlyCross(a, b, geo.Euclidean)
-	for i0 := 0; i0 < len(a); i0++ {
-		for j0 := 0; j0 < len(b); j0++ {
-			want := dist.DFD(a[i0:], b[j0:], geo.Euclidean)
-			dm, ex := dist.DFDFromGridCapped(m, i0, len(a)-1, j0, len(b)-1, math.Inf(1))
-			if ex || math.Abs(dm-want) > 1e-12 {
-				t.Errorf("Matrix window (%d.., %d..) = %g (exceeded=%v), want %g", i0, j0, dm, ex, want)
-			}
-			df, ex := dist.DFDFromGridCapped(f, i0, len(a)-1, j0, len(b)-1, math.Inf(1))
-			if ex || df != dm {
-				t.Errorf("Fly window (%d.., %d..) = %g, Matrix %g", i0, j0, df, dm)
-			}
-		}
-	}
-}
-
 // TestRowRangeMatrixFly: RowRange returns the same values for a Matrix
-// (an alias of its storage) and a Fly (filled through At) over every
-// window of every row, haversine and Euclidean, and a Matrix row aliases
-// rather than copies.
+// (an alias of its storage) and a Fly (filled through Fly.Row) over every
+// window of every row, haversine and Euclidean; every value is the
+// ground distance itself, bit for bit, and Fly.At agrees; and a Matrix
+// row aliases rather than copies.
 func TestRowRangeMatrixFly(t *testing.T) {
 	a := pts(116.30, 39.98, 116.31, 39.99, 116.33, 39.97, 116.32, 40.01, 116.35, 40.00)
 	b := pts(116.29, 39.96, 116.34, 39.98, 116.36, 40.02, 116.31, 39.95)
@@ -134,8 +118,9 @@ func TestRowRangeMatrixFly(t *testing.T) {
 						t.Fatalf("row %d [%d, %d]: lengths %d (Matrix) and %d (Fly)", i, j0, j1, len(want), len(got))
 					}
 					for k := range got {
-						if math.Float64bits(got[k]) != math.Float64bits(want[k]) || want[k] != m.At(i, j0+k) {
-							t.Fatalf("row %d col %d: Fly %v, Matrix row %v, At %v", i, j0+k, got[k], want[k], m.At(i, j0+k))
+						d := df(a[i], b[j0+k])
+						if math.Float64bits(got[k]) != math.Float64bits(d) || math.Float64bits(want[k]) != math.Float64bits(d) || f.At(i, j0+k) != d {
+							t.Fatalf("row %d col %d: Fly row %v, Matrix row %v, Fly.At %v, ground %v", i, j0+k, got[k], want[k], f.At(i, j0+k), d)
 						}
 					}
 				}

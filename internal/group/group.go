@@ -190,43 +190,42 @@ func (lv *Level) DFDBounds(u, v, xi int, self bool, nPoints, mPoints int, scratc
 	minRow := func(ue int) []float64 { return lv.dmin[ue*lv.NB+v : (ue+1)*lv.NB] }
 	maxRow := func(ue int) []float64 { return lv.dmax[ue*lv.NB+v : (ue+1)*lv.NB] }
 
-	// endIdx is the last point index of group x (last group may be short).
+	// The feasibility tests split into a row part and a column part.
+	// glb needs both legs at least gxi groups long: rows ue-u >= gxi and
+	// columns k >= kGlb. gub needs the full-group pair itself to be a
+	// feasible candidate — both legs longer than ξ steps and, for
+	// Problem 1, strictly ordered — which holds on a row when gubRow(ue)
+	// and on columns k >= kGub, since the last point index endB(v+k) of
+	// column group v+k never decreases in k.
 	endA := func(x int) int { return min((x+1)*lv.Tau-1, nPoints-1) }
-	endB := func(x int) int { return min((x+1)*lv.Tau-1, mPoints-1) }
+	gubRow := func(ue int) bool {
+		return endA(ue)-u*lv.Tau > xi && (!self || endA(ue) < v*lv.Tau)
+	}
+	kGlb := min(gxi, width)
+	kGub := 0
+	for kGub < width && min((v+kGub+1)*lv.Tau-1, mPoints-1)-v*lv.Tau <= xi {
+		kGub++
+	}
+	consider := func(ue int, dmin, dmax []float64) {
+		if ue-u >= gxi {
+			glb = lowered(glb, dmin[kGlb:])
+		}
+		if gubRow(ue) {
+			gub = lowered(gub, dmax[kGub:])
+		}
+	}
 
 	// Boundary row ue = u: running max along ve.
 	dist.DFDBoundaryRow(minRow(u), prevMin)
 	dist.DFDBoundaryRow(maxRow(u), prevMax)
 	cells = int64(width)
-	consider := func(ue, ve int, fmin, fmax float64) {
-		if ue-u >= gxi && ve-v >= gxi && fmin < glb {
-			glb = fmin
-		}
-		// GUB is valid only when the full-group pair is itself a feasible
-		// candidate: both legs longer than ξ steps and, for Problem 1,
-		// strictly ordered.
-		if fmax < gub &&
-			endA(ue)-u*lv.Tau > xi && endB(ve)-v*lv.Tau > xi &&
-			(!self || endA(ue) < v*lv.Tau) {
-			gub = fmax
-		}
-	}
-	for k := range width {
-		consider(u, v+k, prevMin[k], prevMax[k])
-	}
+	consider(u, prevMin, prevMax)
 
-	colMin, colMax := prevMin[0], prevMax[0]
 	for ue := u + 1; ue <= ueHi; ue++ {
-		rowMin, rowMax := minRow(ue), maxRow(ue)
-		colMin = math.Max(colMin, rowMin[0])
-		colMax = math.Max(colMax, rowMax[0])
-		curMin[0], curMax[0] = colMin, colMax
-		frontier := dist.DFDRelaxRow(rowMin, prevMin, curMin)
-		frontierMax := dist.DFDRelaxRow(rowMax, prevMax, curMax)
+		frontier := dist.DFDRelaxRow(minRow(ue), prevMin, curMin)
+		frontierMax := dist.DFDRelaxRow(maxRow(ue), prevMax, curMax)
 		cells += int64(width)
-		for k := range width {
-			consider(ue, v+k, curMin[k], curMax[k])
-		}
+		consider(ue, curMin, curMax)
 		// Early termination: every later cell is at least the minimum of
 		// this completed row (the kernel's row-crossing argument), so once
 		// neither bound can improve, stop.
@@ -237,6 +236,16 @@ func (lv *Level) DFDBounds(u, v, xi int, self bool, nPoints, mPoints int, scratc
 		prevMax, curMax = curMax, prevMax
 	}
 	return glb, gub, cells
+}
+
+// lowered returns the least of bound and the values of row below it.
+func lowered(bound float64, row []float64) float64 {
+	for _, f := range row {
+		if f < bound {
+			bound = f
+		}
+	}
+	return bound
 }
 
 // pair is a candidate group pair with its pattern-bound LB.
