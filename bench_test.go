@@ -510,10 +510,12 @@ func BenchmarkParallelGTM(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelCapped measures the fused capped kernel against the
-// plain exact kernel at the same length: the cap is the kind of
-// best-so-far bound k-NN holds, so the capped run abandons within a few
-// rows.
+// BenchmarkKernelCapped measures the capped kernel against the plain
+// exact kernel at the same length. capped-tight's cap is the kind of
+// best-so-far bound k-NN holds against a hopeless candidate, so it
+// abandons within a few rows; capped-certified's cap is the next float
+// above the distance, the radius k-NN and the exact join measure a
+// certified candidate in, so it completes over the cells below the cap.
 func BenchmarkKernelCapped(b *testing.B) {
 	t := benchTraj(b, datagen.GeoLifeName)
 	x, y := t.Points[:200], t.Points[200:400]
@@ -526,6 +528,12 @@ func BenchmarkKernelCapped(b *testing.B) {
 	b.Run("capped-tight", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			dist.DFDCapped(x, y, geo.Haversine, exact/4)
+		}
+	})
+	b.Run("capped-certified", func(b *testing.B) {
+		certified := math.Nextafter(exact, math.Inf(1))
+		for i := 0; i < b.N; i++ {
+			dist.DFDCapped(x, y, geo.Haversine, certified)
 		}
 	})
 	b.Run("decision", func(b *testing.B) {

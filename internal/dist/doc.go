@@ -40,29 +40,37 @@
 // This package is the single source of truth for the discrete Fréchet
 // recurrence: the row-relaxation loop in kernel.go (two rolling rows,
 // O(min(n,m)) space — the §5.5 "Idea ii" layout) backs every DFD
-// computation in the repository. It lives once, in DFDBoundaryRow and
-// DFDRelaxRow over a ground row already in memory; the value DPs read
-// their ground rows from internal/dmatrix (a matrix row, a level row, or
-// a dmatrix.Fly row computed from point pairs). Its entry points are
+// computation in the repository. It lives in DFDBoundaryRow and
+// DFDRelaxRow, which fill a whole row over a ground row already in
+// memory, and in DFDWindowRow, which fills only a row's live window
+// under a cap; the value DPs read their ground rows from internal/dmatrix
+// (a matrix row, a level row, or a dmatrix.Fly row computed from point
+// pairs). Its entry points are
 //
 //   - DFD — the exact distance;
-//   - DFDCapped — early-abandoning exact verification: stops as soon as a
-//     completed DP row proves the distance is at least the cap, returning
-//     a lower bound instead of burning the full O(n·m) table;
+//   - DFDCapped — the distance inside a radius: (DFD, false) when DFD is
+//     below the cap, else (cap, true). It sweeps DFDWindowRow, so a cell
+//     at or above the cap is dead, a column no live cell reaches never
+//     computes its ground distance, and the DP stops at the first dead
+//     row instead of burning the full O(n·m) table;
+//   - GreedyBound — the O(n+m) bottleneck of one greedy coupling, an
+//     upper bound on DFD: DFDCapped just above it never abandons, so a
+//     caller without a radius of its own still gets a window;
 //   - DFDDecision — the "DFD <= eps?" decision: a greedy O(n+m) walk
 //     certifies most "yes" answers, and otherwise the decision DP kills
 //     cells above eps and abandons when a row dies;
-//   - DFDBoundaryRow / DFDRelaxRow — the row primitives behind DFDCapped,
-//     from which internal/core and internal/group also compose their
-//     candidate-subset sweeps and interval (dminG/dmaxG) DPs over
-//     materialized rows.
+//   - DFDBoundaryRow / DFDRelaxRow — the full-row primitives from which
+//     internal/core and internal/group compose their candidate-subset
+//     sweeps and interval (dminG/dmaxG) DPs over materialized rows;
+//     DFDWindowRow at cap +Inf visits the same cells with the same bits.
 //
 // No other package carries a Fréchet recurrence; internal/join,
 // internal/knn, internal/core, internal/group and internal/bounds all
 // route through these entry points, so an optimization here speeds every
 // caller. The cross-package equivalence suite (kernel_test.go) and the
-// FuzzDFDKernel fuzz target pin all forms to each other and every
-// composed row to DFDMatrix.
+// FuzzDFDKernel fuzz target pin all forms to each other, every composed
+// row to DFDMatrix, and every live-window cell below its cap to
+// DFDMatrix.
 //
 // DTW, EDR and LCSS share the same O(n·m) skeleton with their own cost
 // models and rolling rows; DFDMatrix materializes the full table as an

@@ -3,6 +3,7 @@ package dist_test
 import (
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -98,18 +99,12 @@ func FuzzDFDKernel(f *testing.F) {
 			}
 		}
 
-		// Capped agreement: +Inf cap is exact; a fuzzed cap either
-		// completes exactly or abandons with a lower bound at or above it.
+		// A +Inf cap is DFD exactly, empty-sequence conventions included.
 		if dc, ex := dist.DFDCapped(a, b, geo.Euclidean, math.Inf(1)); ex || dc != d {
 			t.Fatalf("DFDCapped(+Inf) = %g (exceeded=%v), DFD = %g", dc, ex, d)
 		}
-		dc, ex := dist.DFDCapped(a, b, geo.Euclidean, eps)
-		if ex {
-			if dc < eps || dc > d {
-				t.Fatalf("abandoned value %g outside [cap %g, DFD %g]", dc, eps, d)
-			}
-		} else if dc != d {
-			t.Fatalf("DFDCapped(%g) completed with %g, DFD = %g", eps, dc, d)
+		if gb := dist.GreedyBound(a, b, geo.Euclidean); !(d <= gb) {
+			t.Fatalf("GreedyBound = %g below DFD %g (lens %d, %d)", gb, d, len(a), len(b))
 		}
 
 		if len(a) == 0 || len(b) == 0 {
@@ -140,27 +135,33 @@ func FuzzDFDKernel(f *testing.F) {
 			}
 		}
 
-		// The abandon row: DFDCapped stops at the first DP row, boundary
-		// row included, whose minimum reaches the cap and returns that
-		// minimum; when it completes, no row reached the cap. The oracle
-		// table is oriented as DFDCapped rolls its rows, over the longer
-		// sequence. Besides the fuzzed cap, the distance itself, the
-		// boundary row's minimum (its first cell) and a middle row's
-		// minimum are caps that some row meets exactly.
-		if len(b) > len(a) {
-			dp = dist.DFDMatrix(b, a, geo.Euclidean)
-		}
-		for _, c := range []float64{eps, d, dp[0][0], slices.Min(dp[len(dp)/2])} {
+		// The capped contract: (DFD, false) exactly when DFD < cap, else
+		// (cap, true), both bit for bit. Besides the fuzzed cap, the
+		// distance and the float below it, the first cell and a middle
+		// row's minimum are caps some DP row meets exactly.
+		for _, c := range []float64{eps, d, math.Nextafter(d, math.Inf(-1)), dp[0][0], slices.Min(dp[len(dp)/2])} {
 			dc, ex := dist.DFDCapped(a, b, geo.Euclidean, c)
-			first := slices.IndexFunc(dp, func(row []float64) bool { return slices.Min(row) >= c })
-			switch {
-			case !ex && first >= 0:
-				t.Fatalf("DFDCapped(%g) completed, but DP row %d reaches the cap", c, first)
-			case ex && first < 0:
-				t.Fatalf("DFDCapped(%g) abandoned, but no DP row reaches the cap", c)
-			case ex && math.Float64bits(dc) != math.Float64bits(slices.Min(dp[first])):
-				t.Fatalf("DFDCapped(%g) abandoned with %g, first capped row %d has minimum %g", c, dc, first, slices.Min(dp[first]))
+			want := d
+			if ex != (d >= c) {
+				t.Fatalf("DFDCapped(%g) exceeded=%v, DFD = %g", c, ex, d)
+			} else if ex {
+				want = c
 			}
+			if math.Float64bits(dc) != math.Float64bits(want) {
+				t.Fatalf("DFDCapped(%g) = %g (exceeded=%v), want %g", c, dc, ex, want)
+			}
+		}
+
+		// The live-window rows: for caps drawn from the table, every cell
+		// below the cap is the oracle's, every other visited cell is dead.
+		r := rand.New(rand.NewSource(int64(math.Float64bits(eps)) ^ int64(split)))
+		caps := []float64{eps, d, math.Inf(1)}
+		for range 3 {
+			v := dp[r.Intn(len(a))][r.Intn(len(b))]
+			caps = append(caps, v, math.Nextafter(v, math.Inf(1)))
+		}
+		for _, c := range caps {
+			checkWindowRows(t, a, b, dp, c)
 		}
 	})
 }

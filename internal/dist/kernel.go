@@ -1,25 +1,26 @@
 package dist
 
 // This file is the canonical discrete Fréchet kernel: every DFD dynamic
-// program in the repository — exact, early-abandoning (capped), and
-// decision — reduces to the row recurrence below, which lives once, in
-// DFDBoundaryRow and DFDRelaxRow over a ground row already in memory.
-// The value DPs read their ground rows from internal/dmatrix: DFDCapped
-// (and so DFD) sweeps dmatrix.Fly rows computed from the point pairs,
-// internal/core's subset sweep reads matrix or Fly rows through
-// dmatrix.RowRange, and internal/group's interval DP reads level rows.
-// decision is the boolean twin behind DFDDecision and
-// DFDDecisionProjected, generic over the grid so the projected tri-state
-// cells need no row fill. internal/join, internal/knn, internal/core and
-// internal/group all route through these entry points; no other package
-// carries its own Fréchet recurrence, so an optimization here speeds
-// every caller.
+// program in the repository — exact, capped, and decision — reduces to
+// the row recurrence below. It lives in two forms over a ground row:
+// DFDBoundaryRow and DFDRelaxRow fill a whole row already in memory, and
+// DFDWindowRow fills only the live window of a row under a cap, asking
+// for the ground distances of the columns it visits. DFDCapped (and so
+// DFD) sweeps DFDWindowRow over dmatrix.Fly rows computed from the point
+// pairs; internal/core's subset sweep reads matrix or Fly rows through
+// dmatrix.RowRange, and internal/group's interval DP reads level rows,
+// both through DFDRelaxRow. decision is the boolean twin behind
+// DFDDecision and DFDDecisionProjected, generic over the grid so the
+// projected tri-state cells need no row fill. internal/join,
+// internal/knn, internal/core and internal/group all route through these
+// entry points; no other package carries its own Fréchet recurrence, so
+// an optimization here speeds every caller.
 //
 // The recurrence (Eiter & Mannila 1994) over a ground-distance source g is
 //
 //	dF[i][j] = max(g(i, j), min(dF[i-1][j], dF[i][j-1], dF[i-1][j-1]))
 //
-// swept with two rolling rows in O(n·m) time and O(m) working space. Two
+// swept with two rolling rows in O(n·m) time and O(m) working space. Three
 // facts about the table back the capped variants:
 //
 //   - row crossing: every coupling advances the first cursor one row at a
@@ -27,12 +28,22 @@ package dist
 //     values are non-decreasing along a path, hence the minimum of any
 //     completed row lower-bounds the final value. Once a row's minimum
 //     reaches the cap, no coupling can finish below it (early abandoning).
+//   - dead cells stay dead: a cell at or above the cap cannot lower any
+//     cell it feeds below the cap, since every cell is the maximum of its
+//     ground distance and its cheapest predecessor. So a row only needs
+//     the columns some live cell of the previous row, or its own live
+//     left neighbour, reaches (the live window), and +Inf can stand in
+//     for every dead cell without changing a live one (Alt & Godau 1995;
+//     Bringmann, Künnemann & Nusser, SoCG 2019).
 //   - the same holds per column, which the decision DP exploits by killing
 //     cells above eps and abandoning when a whole row is dead.
 //
 // The decision DP is preceded by a certificate in the other direction:
 // any one coupling whose cells are all within eps proves DFD <= eps, so
 // a greedy walk that reaches the final cell answers "yes" in O(n+m).
+// GreedyBound turns the same idea into a value: the bottleneck of one
+// greedy coupling, an upper bound on DFD that lets a caller measure a
+// candidate inside a radius it has already certified.
 
 import (
 	"math"
@@ -110,6 +121,55 @@ func greedyWithin[G dmatrix.Grid](g G, n, m int, eps float64) bool {
 	return true
 }
 
+// GreedyBound returns the bottleneck of one monotone coupling of a and
+// b, walked in O(n+m) ground distances: from (0, 0), step to the cheapest
+// of the diagonal, row and column successors (the diagonal on ties) until
+// (n-1, m-1). DFD(a, b, df) <= GreedyBound(a, b, df) holds in floats, not
+// just in reals: the DP's minima and maxima only select among the same
+// ground values, so its corner is the bottleneck of its best coupling and
+// can be no larger than this one's. DFDCapped at the next float above it
+// therefore never abandons. Empty-sequence conventions follow DFD.
+func GreedyBound(a, b []geo.Point, df geo.DistanceFunc) float64 {
+	if len(a) == 0 || len(b) == 0 {
+		if len(a) == len(b) {
+			return 0
+		}
+		return math.Inf(1)
+	}
+	if len(b) > len(a) {
+		a, b = b, a
+	}
+	g := dmatrix.NewFlyCross(a, b, df)
+	n, m := len(a), len(b)
+	i, j := 0, 0
+	bound := g.At(0, 0)
+	for i < n-1 || j < m-1 {
+		var d float64
+		switch {
+		case i == n-1:
+			j++
+			d = g.At(i, j)
+		case j == m-1:
+			i++
+			d = g.At(i, j)
+		default:
+			d = g.At(i+1, j+1)
+			di, dj := 1, 1
+			if v := g.At(i+1, j); v < d {
+				d, di, dj = v, 1, 0
+			}
+			if v := g.At(i, j+1); v < d {
+				d, di, dj = v, 0, 1
+			}
+			i, j = i+di, j+dj
+		}
+		if d > bound {
+			bound = d
+		}
+	}
+	return bound
+}
+
 // decision answers dF[n-1][m-1] <= eps. It first tries greedyWithin's
 // O(n+m) certificate, which settles most "yes" answers; otherwise a
 // boolean live-cell DP decides, where a cell is live when some coupling
@@ -148,18 +208,19 @@ func decision[G dmatrix.Grid](g G, n, m int, eps float64) bool {
 	return prev[m-1]
 }
 
-// DFDCapped computes the discrete Fréchet distance with early abandoning:
-// it returns the exact DFD with exceeded == false, unless it can prove
-// DFD(a, b) >= cap partway through, in which case it stops and returns a
-// partial value with exceeded == true. The partial value is a valid lower
-// bound on the true distance and is itself >= cap. A cap of +Inf never
-// abandons, so DFDCapped(a, b, df, +Inf) equals DFD(a, b, df) exactly.
-// When the DP completes, the returned distance is exact and may exceed a
-// finite cap only if the final cell alone does.
+// DFDCapped computes the discrete Fréchet distance inside a radius: it
+// returns (DFD(a, b), false) exactly when DFD(a, b) < cap, and
+// (cap, true) otherwise, so an abandoned result is still a lower bound at
+// or above the cap. A cap of +Inf is DFD(a, b) exactly. It sweeps
+// DFDWindowRow, filling each ground row through dmatrix.Fly.Row over the
+// columns the previous row's live window reaches: a cell whose value
+// reaches the cap is dead, a column no live cell reaches never computes
+// its ground distance, and the sweep stops at the first dead row.
 //
-// Searchers use this to verify candidates against a best-so-far bound:
-// hopeless candidates die after a few rows instead of O(n·m) cells.
-// Empty-sequence conventions follow DFD, with exceeded == false.
+// Searchers use this to verify candidates against a best-so-far bound,
+// and to measure candidates already certified within a radius at the
+// cost of the cells inside it. Empty-sequence conventions follow DFD,
+// with exceeded == false.
 func DFDCapped(a, b []geo.Point, df geo.DistanceFunc, cap float64) (d float64, exceeded bool) {
 	if len(a) == 0 || len(b) == 0 {
 		if len(a) == len(b) {
@@ -173,21 +234,17 @@ func DFDCapped(a, b []geo.Point, df geo.DistanceFunc, cap float64) (d float64, e
 	g := dmatrix.NewFlyCross(a, b, df)
 	m := len(b)
 	rows := make([]float64, 3*m)
-	ground, prev, cur := rows[:m], rows[m:2*m], rows[2*m:]
-	capped := !math.IsInf(cap, 1)
+	scratch, prev, cur := rows[:m], rows[m:2*m], rows[2*m:]
+	i := 0
+	ground := func(j0, j1 int) []float64 { return g.Row(i, j0, j1, scratch) }
 
-	DFDBoundaryRow(g.Row(0, 0, m-1, ground), prev)
-	// The boundary row is a running maximum, so its minimum is its first
-	// cell.
-	if capped && prev[0] >= cap {
-		return prev[0], true
-	}
-	for i := 1; i < len(a); i++ {
-		rowMin := DFDRelaxRow(g.Row(i, 0, m-1, ground), prev, cur)
-		if capped && rowMin >= cap {
-			return rowMin, true
-		}
+	lo, hi, _ := DFDWindowRow(ground, nil, prev, 0, 0, cap)
+	for i = 1; i < len(a) && lo <= hi; i++ {
+		lo, hi, _ = DFDWindowRow(ground, prev, cur, lo, hi, cap)
 		prev, cur = cur, prev
+	}
+	if hi < m-1 {
+		return cap, true // the corner is dead, or no coupling got that far
 	}
 	return prev[m-1], false
 }
@@ -288,4 +345,96 @@ func DFDRelaxRow(ground, prev, cur []float64) (rowMin float64) {
 		}
 	}
 	return rowMin
+}
+
+// DFDWindowRow is the capped, live-window row primitive. A cell is live
+// when its DP value is below cap and dead otherwise; a dead cell never
+// feeds a live one, since every cell is at least its cheapest
+// predecessor. The call advances the recurrence by one row i:
+//
+//   - prev holds dF[i-1][·] with every live cell inside [lo, hi] and
+//     +Inf in prev[hi+1] (when it exists); nothing else of prev is read.
+//     prev == nil selects the boundary row i = 0, the running maximum of
+//     dG(0, ·), and ignores lo and hi. An empty window (lo > hi) comes
+//     back unchanged: a dead row only feeds dead rows.
+//   - ground(j0, j1) returns dG(i, j0..j1). It is called once for the
+//     columns lo..hi+1 the previous window reaches, then once per column
+//     while the left neighbour stays live, so a column no live cell can
+//     reach never computes its ground distance.
+//   - cur receives the row on every visited column, +Inf in each dead
+//     cell. When the row has a live cell, cur[nhi+1] (when it exists) is
+//     visited, so it holds the +Inf the next call reads.
+//
+// It returns the new live window [nlo, nhi] — nlo > nhi when the whole
+// row is dead and no coupling can finish below cap — and the minimum of
+// its live cells (+Inf when there are none). Every live cell equals the
+// full recurrence bit for bit; at cap +Inf each visited cell equals
+// DFDBoundaryRow/DFDRelaxRow's, since only a +Inf cell is dead.
+func DFDWindowRow(ground func(j0, j1 int) []float64, prev, cur []float64, lo, hi int, cap float64) (nlo, nhi int, rowMin float64) {
+	m := len(cur)
+	dead := math.Inf(1)
+	if prev != nil && lo > hi {
+		return lo, hi, dead // a dead row only feeds dead rows
+	}
+	nhi, rowMin = -1, dead
+	// left is cur[k-1] for the next column k; (0, 0) has no predecessor.
+	left, k := math.Inf(-1), 0
+	if prev != nil {
+		end := min(hi+1, m-1)
+		g := ground(lo, end)
+		p, c := prev[lo:end+1], cur[lo:end+1]
+		p, c = p[:len(g)], c[:len(g)]
+		// prev[lo-1] and cur[lo-1] are dead: column lo is reached from
+		// prev[lo] alone, the boundary column's rule.
+		diag := dead
+		left = dead
+		for j, up := range p {
+			reach := up
+			if diag < reach {
+				reach = diag
+			}
+			if left < reach {
+				reach = left
+			}
+			diag = up
+			v := g[j]
+			if reach > v {
+				v = reach
+			}
+			if v < cap {
+				nhi = lo + j
+				if v < rowMin {
+					rowMin = v
+				}
+			} else {
+				v = dead
+			}
+			c[j] = v
+			left = v
+		}
+		k = end + 1
+	}
+	// Past the window only the left neighbour reaches a cell.
+	for ; k < m && left < cap; k++ {
+		v := ground(k, k)[0]
+		if left > v {
+			v = left
+		}
+		if v < cap {
+			nhi = k
+			if v < rowMin {
+				rowMin = v
+			}
+		} else {
+			v = dead
+		}
+		cur[k] = v
+		left = v
+	}
+	if prev == nil {
+		lo = 0
+	}
+	for nlo = lo; nlo <= nhi && !(cur[nlo] < cap); nlo++ {
+	}
+	return nlo, nhi, rowMin
 }

@@ -309,3 +309,43 @@ func BenchmarkKernelVariants(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/cells, "ns/cell")
 	})
 }
+
+// BenchmarkRowPrimitives times a full-width sweep of a materialized
+// 512×512 haversine grid, so no ground distance is computed: "relax" is
+// DFDBoundaryRow then DFDRelaxRow per row, "window" is DFDWindowRow at
+// cap +Inf, where every cell is live and its window spans each row.
+func BenchmarkRowPrimitives(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	const n = 512
+	g := dmatrix.ComputeCross(
+		speedTrack(rng, geo.Point{Lat: 39.9, Lng: 116.4}, n, 0.01),
+		speedTrack(rng, geo.Point{Lat: 39.91, Lng: 116.41}, n, 0.01),
+		geo.Haversine)
+	prev, cur := make([]float64, n), make([]float64, n)
+	cells := float64(n) * float64(n)
+
+	b.Run("relax", func(b *testing.B) {
+		for it := 0; it < b.N; it++ {
+			DFDBoundaryRow(g.Row(0), prev)
+			for i := 1; i < n; i++ {
+				DFDRelaxRow(g.Row(i), prev, cur)
+				prev, cur = cur, prev
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/cells, "ns/cell")
+	})
+	b.Run("window", func(b *testing.B) {
+		inf := math.Inf(1)
+		i := 0
+		ground := func(j0, j1 int) []float64 { return g.Row(i)[j0 : j1+1] }
+		for it := 0; it < b.N; it++ {
+			i = 0
+			lo, hi, _ := DFDWindowRow(ground, nil, prev, 0, 0, inf)
+			for i = 1; i < n; i++ {
+				lo, hi, _ = DFDWindowRow(ground, prev, cur, lo, hi, inf)
+				prev, cur = cur, prev
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/cells, "ns/cell")
+	})
+}

@@ -71,11 +71,9 @@ func TestDFDDecisionEquivalence(t *testing.T) {
 }
 
 // TestDFDCappedProperties pins the capped contract:
-//   - exceeded == false means the value equals the exact DFD;
-//   - exceeded == true means the value is a valid lower bound on the
-//     exact DFD and is at least the cap;
-//   - a +Inf cap degrades to the exact computation;
-//   - a cap strictly above the distance never abandons.
+//   - (DFD, false) exactly when DFD < cap, bit for bit;
+//   - (cap, true) otherwise, so the value is a lower bound at the cap;
+//   - a +Inf cap degrades to the exact computation.
 func TestDFDCappedProperties(t *testing.T) {
 	r := rand.New(rand.NewSource(63))
 	for trial := 0; trial < 200; trial++ {
@@ -83,23 +81,16 @@ func TestDFDCappedProperties(t *testing.T) {
 		b := randWalk(r, 1+r.Intn(12), r.Float64()*5, r.Float64()*5)
 		exact := dist.DFD(a, b, geo.Euclidean)
 
-		if d, ex := dist.DFDCapped(a, b, geo.Euclidean, math.Inf(1)); ex || d != exact {
-			t.Fatalf("+Inf cap: got %g (exceeded=%v), want exact %g", d, ex, exact)
-		}
-		if d, ex := dist.DFDCapped(a, b, geo.Euclidean, exact*1.5+1); ex || d != exact {
-			t.Fatalf("loose cap: got %g (exceeded=%v), want exact %g", d, ex, exact)
-		}
-		for _, cap := range []float64{0, exact * 0.25, exact * 0.75, exact} {
+		for _, cap := range []float64{0, exact * 0.25, exact * 0.75, exact, math.Nextafter(exact, math.Inf(1)), exact*1.5 + 1, math.Inf(1)} {
 			d, ex := dist.DFDCapped(a, b, geo.Euclidean, cap)
-			if ex {
-				if d < cap {
-					t.Fatalf("cap %g: abandoned below the cap with %g", cap, d)
-				}
-				if d > exact {
-					t.Fatalf("cap %g: partial %g is not a lower bound on %g", cap, d, exact)
-				}
-			} else if d != exact {
-				t.Fatalf("cap %g: completed with %g, want exact %g", cap, d, exact)
+			want := exact
+			if ex != (exact >= cap) {
+				t.Fatalf("cap %g: exceeded=%v, DFD %g", cap, ex, exact)
+			} else if ex {
+				want = cap
+			}
+			if math.Float64bits(d) != math.Float64bits(want) {
+				t.Fatalf("cap %g: got %g (exceeded=%v), want %g", cap, d, ex, want)
 			}
 		}
 	}
@@ -182,6 +173,99 @@ func sweepRows(g dmatrix.Grid, i0, j0 int) [][]float64 {
 		dist.DFDRelaxRow(dmatrix.RowRange(g, i0+i, j0, m-1, scratch), rows[i-1], rows[i])
 	}
 	return rows
+}
+
+// TestDFDWindowRowMatchesOracle sweeps the live-window primitive over
+// random pairs at caps drawn from each pair's own table (a cell, the
+// float above it, the distance, 0 and +Inf) and holds it to the
+// DFDMatrix oracle through checkWindowRows.
+func TestDFDWindowRowMatchesOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(66))
+	for trial := 0; trial < 200; trial++ {
+		a := randWalk(r, 1+r.Intn(14), 0, 0)
+		b := randWalk(r, 1+r.Intn(14), r.Float64()*3, r.Float64()*3)
+		dp := dist.DFDMatrix(a, b, geo.Euclidean)
+		v := dp[r.Intn(len(a))][r.Intn(len(b))]
+		for _, c := range []float64{v, math.Nextafter(v, math.Inf(1)), dp[len(a)-1][len(b)-1], 0, math.Inf(1)} {
+			checkWindowRows(t, a, b, dp, c)
+		}
+	}
+}
+
+// TestGreedyBound pins the heap-filling cap knn relies on: the greedy
+// coupling's bottleneck is at least DFD, so DFDCapped at the next float
+// above it completes with DFD's bits, and identical sequences bound at 0.
+func TestGreedyBound(t *testing.T) {
+	r := rand.New(rand.NewSource(67))
+	for trial := 0; trial < 200; trial++ {
+		a := randWalk(r, 1+r.Intn(30), 0, 0)
+		b := randWalk(r, 1+r.Intn(30), r.Float64()*3, r.Float64()*3)
+		d := dist.DFD(a, b, geo.Euclidean)
+		gb := dist.GreedyBound(a, b, geo.Euclidean)
+		if !(d <= gb) {
+			t.Fatalf("GreedyBound = %g below DFD %g", gb, d)
+		}
+		if got, ex := dist.DFDCapped(a, b, geo.Euclidean, math.Nextafter(gb, math.Inf(1))); ex || math.Float64bits(got) != math.Float64bits(d) {
+			t.Fatalf("DFDCapped at the greedy bound = %g (exceeded=%v), DFD = %g", got, ex, d)
+		}
+		if gb := dist.GreedyBound(a, a, geo.Euclidean); gb != 0 {
+			t.Fatalf("GreedyBound(a, a) = %g, want 0", gb)
+		}
+	}
+}
+
+// checkWindowRows sweeps DFDWindowRow over the Fly grid of a and b under
+// cap, as DFDCapped does but keeping every row, each pre-filled with NaN
+// so an unvisited cell shows. It requires every cell the oracle dp puts
+// below cap to hold the oracle's bits, every other cell to be unvisited
+// or dead (+Inf), and each row's returned window and minimum to be the
+// first and last live column and the least live value.
+func checkWindowRows(t *testing.T, a, b []geo.Point, dp [][]float64, cap float64) {
+	t.Helper()
+	g := dmatrix.NewFlyCross(a, b, geo.Euclidean)
+	n, m := len(a), len(b)
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = make([]float64, m)
+		for k := range rows[i] {
+			rows[i][k] = math.NaN()
+		}
+	}
+	scratch := make([]float64, m)
+	i := 0
+	ground := func(j0, j1 int) []float64 { return g.Row(i, j0, j1, scratch) }
+	lo, hi := 0, 0
+	for ; i < n && lo <= hi; i++ {
+		var prev []float64
+		if i > 0 {
+			prev = rows[i-1]
+		}
+		var rowMin float64
+		lo, hi, rowMin = dist.DFDWindowRow(ground, prev, rows[i], lo, hi, cap)
+		wantLo, wantHi, wantMin := m, -1, math.Inf(1)
+		for k, v := range dp[i] {
+			if v < cap {
+				wantLo, wantHi, wantMin = min(wantLo, k), k, min(wantMin, v)
+			}
+		}
+		if wantHi >= 0 && (lo != wantLo || hi != wantHi || rowMin != wantMin) {
+			t.Fatalf("cap %g row %d: window [%d, %d] min %g, oracle [%d, %d] min %g", cap, i, lo, hi, rowMin, wantLo, wantHi, wantMin)
+		}
+		if wantHi < 0 && (lo <= hi || !math.IsInf(rowMin, 1)) {
+			t.Fatalf("cap %g row %d: window [%d, %d] min %g on a dead row", cap, i, lo, hi, rowMin)
+		}
+	}
+	for i, row := range rows {
+		for k, v := range row {
+			if dp[i][k] < cap {
+				if math.Float64bits(v) != math.Float64bits(dp[i][k]) {
+					t.Fatalf("cap %g: live cell (%d, %d) = %g, DFDMatrix %g", cap, i, k, v, dp[i][k])
+				}
+			} else if !math.IsNaN(v) && !math.IsInf(v, 1) {
+				t.Fatalf("cap %g: cell (%d, %d) = %g, DFDMatrix %g at or above the cap, not dead", cap, i, k, v, dp[i][k])
+			}
+		}
+	}
 }
 
 // TestKernelDegenerateConventions pins the empty-input conventions of the

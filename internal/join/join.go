@@ -35,6 +35,7 @@ package join
 
 import (
 	"fmt"
+	"math"
 
 	"trajmotif/internal/dist"
 	"trajmotif/internal/geo"
@@ -54,8 +55,9 @@ type Pair struct {
 type Options struct {
 	// Dist is the ground distance; nil selects haversine.
 	Dist geo.DistanceFunc
-	// Exact computes the exact DFD for reported pairs (one extra O(l^2)
-	// pass per reported pair); otherwise Distance is set to eps.
+	// Exact computes the exact DFD for reported pairs (one extra value DP
+	// per reported pair, over the cells below eps); otherwise Distance is
+	// set to eps.
 	Exact bool
 	// Index, when non-nil, supplies the trajectories' MBRs (the store's
 	// cached boxes) instead of folding them with spatial.Bound. It must be
@@ -205,7 +207,9 @@ func Join(ts []*traj.Trajectory, eps float64, opt *Options) ([]Pair, Stats, erro
 			}
 			p := Pair{I: i, J: j, Distance: eps}
 			if exact {
-				p.Distance = dist.DFD(a, b, df)
+				// Filter 3 certified DFD <= eps, so the value DP runs
+				// inside that radius and never abandons.
+				p.Distance, _ = dist.DFDCapped(a, b, df, math.Nextafter(eps, math.Inf(1)))
 			}
 			out = append(out, p)
 			st.Reported++

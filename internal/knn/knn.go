@@ -6,12 +6,17 @@
 //  1. every candidate gets a cheap lower bound (endpoint distances and
 //     bounding-box probes, both O(1) after one pass over the points);
 //  2. candidates are visited in ascending lower-bound order;
-//  3. decide against kth, then measure: once k neighbours are held, the
-//     decision "DFD <= kth?" runs first (under haversine, in the pair's
-//     projected frame at a few ns per cell), and only a candidate within
-//     kth pays for the exact DFD dynamic program. That program runs with
-//     an early-abandon cap just above the current k-th best distance, so
-//     while the heap fills hopeless candidates die after a few rows;
+//  3. decide against kth, then measure inside a certified radius: once
+//     k neighbours are held, the decision "DFD <= kth?" runs first (under
+//     haversine, in the pair's projected frame at a few ns per cell), and
+//     only a candidate within kth pays for the exact DFD dynamic program.
+//     That program runs with a cap just above kth, and while the heap
+//     fills, just above the candidate's own greedy coupling bound
+//     (dist.GreedyBound, O(n+m)), so it only fills the cells that can
+//     still lie on a coupling below the cap. Under haversine both caps
+//     are already certified and the DP never abandons; under another
+//     ground distance a full-heap candidate beyond kth abandons as soon
+//     as every cell of a row, or the final cell, reaches the cap;
 //  4. the search stops as soon as the next lower bound exceeds the k-th
 //     best — the remaining candidates cannot improve the result.
 //
@@ -52,7 +57,7 @@ type Neighbor struct {
 type Stats struct {
 	Candidates     int64 // dataset size
 	SkippedByLB    int64 // never verified: lower bound above kth
-	AbandonedEarly int64 // decided beyond kth, or DP died against the cap
+	AbandonedEarly int64 // decided beyond kth, or DP proved DFD > kth
 	Exact          int64 // full DFD computations that completed
 	// IndexConsulted counts spatial-index consultations (one per
 	// search); IndexPruned counts candidates the MBR bound rejected before
@@ -190,19 +195,24 @@ func Nearest(query *traj.Trajectory, dataset []*traj.Trajectory, k int, opt *Opt
 		}
 		return dist.DFDDecisionProjected(q, p, pq, cProj, f, kth, &st.ProjectionFallbacks)
 	}
-	// process verifies one candidate: under haversine with a full heap, a
-	// decision against kth drops it when DFD > kth; otherwise the exact
-	// DP runs against the current cap.
+	// process verifies one candidate. While the heap fills, the value DP
+	// runs inside the candidate's own greedy bound, which DFD never
+	// exceeds. Once it is full, under haversine a decision against kth
+	// drops the candidate when DFD > kth; otherwise the DP runs inside
+	// kth, and abandons exactly when DFD > kth.
 	process := func(idx int) {
-		capd := math.Inf(1)
-		if h.Len() == k {
+		p := dataset[idx].Points
+		var capd float64
+		if h.Len() < k {
+			capd = math.Nextafter(dist.GreedyBound(q, p, df), math.Inf(1))
+		} else {
 			if hav && !within(idx) {
 				st.AbandonedEarly++
 				return
 			}
 			capd = math.Nextafter(kth, math.Inf(1))
 		}
-		d, exceeded := dist.DFDCapped(q, dataset[idx].Points, df, capd)
+		d, exceeded := dist.DFDCapped(q, p, df, capd)
 		if exceeded {
 			st.AbandonedEarly++
 			return

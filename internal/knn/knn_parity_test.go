@@ -18,8 +18,10 @@ import (
 // (endpoint distances, then box probes both ways, all through plain df)
 // for every candidate, visited in ascending (lb, index) order, with the
 // same verification as Nearest — under haversine, a projected decision
-// against kth once k neighbours are held, then the early-abandoning DP
-// with the k-th-best cap. Nearest must match it in results and in every
+// against kth once k neighbours are held, then the capped DP just above
+// kth. While the heap fills it runs the DP uncapped where Nearest caps it
+// just above the candidate's greedy bound, so matching it also shows that
+// cap never abandons. Nearest must match it in results and in every
 // Stats counter except IndexConsulted and IndexPruned, which it leaves
 // zero.
 func linearNearest(query *traj.Trajectory, dataset []*traj.Trajectory, k int, df geo.DistanceFunc) ([]Neighbor, Stats) {

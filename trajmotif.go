@@ -164,12 +164,13 @@ func DFD(a, b []Point, df DistanceFunc) float64 {
 	return dist.DFD(a, b, ground(df))
 }
 
-// DFDCapped computes the DFD with early abandoning: it returns the exact
-// distance with exceeded == false, or stops as soon as it can prove the
-// distance is at least cap and returns a lower bound (itself >= cap) with
-// exceeded == true. A +Inf cap is exactly DFD. This is the kernel the
-// motif searchers and k-NN use to kill hopeless candidates after a few DP
-// rows.
+// DFDCapped computes the DFD inside a radius: it returns the exact
+// distance with exceeded == false when the distance is below cap, and
+// otherwise cap itself, a lower bound on the distance, with exceeded ==
+// true. A +Inf cap is exactly DFD. Only the DP cells below cap are
+// filled, so a hopeless candidate dies after a few rows and a candidate
+// already known to lie within the radius costs only the cells inside it;
+// this is the kernel k-NN and the exact similarity join measure with.
 func DFDCapped(a, b []Point, df DistanceFunc, cap float64) (d float64, exceeded bool) {
 	return dist.DFDCapped(a, b, ground(df), cap)
 }
